@@ -9,6 +9,7 @@ deterministic, and anchors to the default encoder curve at k = (1, 1).
 from __future__ import annotations
 
 import abc
+import hashlib
 import json
 import math
 import shlex
@@ -173,8 +174,10 @@ class ProcessBackend(EncoderBackend):
             profile = self.settings[request.settings]
         except KeyError as exc:
             raise BackendFailure(f"unknown settings profile {request.settings!r}") from exc
+        # the path hash keeps same-named clips from different directories apart
+        clip_hash = hashlib.sha256(request.clip.encode()).hexdigest()[:8]
         stem = (
-            f"{Path(request.clip).stem}_{request.settings}_qp{request.qp}"
+            f"{Path(request.clip).stem}-{clip_hash}_{request.settings}_qp{request.qp}"
             f"_k1_{request.ks.k1:.6f}_k2_{request.ks.k2:.6f}"
         )
         out = Path(self.workdir) / f"{stem}.bin"

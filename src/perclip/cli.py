@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Per-clip encoder lambda tuning and quality analytics",
     )
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed for simulations")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -101,15 +101,11 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
         val = _sse(unscale(theta), x, y)
         return val if math.isfinite(val) else 1e300
 
-    result = powell_box_minimize(
-        cost,
-        x0=(start - lower) / span,
-        lower=np.zeros(5),
-        upper=np.ones(5),
-        ftol=1e-10,
-        max_iters=200,
-        xtol=1e-6,
-    )
+    search = dict(lower=np.zeros(5), upper=np.ones(5), ftol=1e-10, max_iters=200, xtol=1e-6)
+    result = powell_box_minimize(cost, x0=(start - lower) / span, **search)
+    # a restart with fresh coordinate directions leaves the narrow valleys
+    # where the direction set of the first search can stall
+    result = powell_box_minimize(cost, x0=result.x, **search)
     fitted = unscale(result.x)
     baseline = _linear_fallback(x, y, b3=float(np.median(x)))
     if _sse(baseline, x, y) < _sse(fitted, x, y):

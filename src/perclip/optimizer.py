@@ -3,7 +3,8 @@
 The cost of a candidate (k1, k2) is the BD-rate of the curve it produces
 against the baseline curve encoded at (1, 1), so the cost at (1, 1) is
 exactly zero and any negative best cost is a real improvement. Encodes are
-memoized by (clip, settings, qp, k1, k2) since the search revisits points.
+memoized by (clip, settings, metric, qp, k1, k2) since the search revisits
+points.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 from .backends import EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers, build_rd_curve
 from .bd import bd_rate
@@ -68,7 +71,8 @@ class EncodeCache:
     """Thread-safe (rate, quality) store keyed by the encode request.
 
     k values are rounded to 1e-6 for the key. Persistable to JSON so a
-    repeated run issues zero encodes.
+    repeated run issues zero encodes; a file row is the key's six fields
+    followed by rate and quality.
     """
 
     def __init__(self) -> None:
@@ -80,6 +84,7 @@ class EncodeCache:
         return (
             request.clip,
             request.settings,
+            request.metric_id,
             request.qp,
             round(request.ks.k1, 6),
             round(request.ks.k2, 6),
@@ -97,20 +102,44 @@ class EncodeCache:
             self._data[self.key(request)] = (result.rate, result.quality)
 
     def __len__(self) -> int:
-        return len(self._data)
+        with self._lock:
+            return len(self._data)
 
     def save(self, path) -> None:
+        """Write the rows sorted by key, so equal contents give equal bytes.
+
+        The rows go to a temporary file that then replaces path, so a crash
+        mid-save leaves the previous file intact.
+        """
         with self._lock:
-            rows = [list(k) + list(v) for k, v in self._data.items()]
-        with open(path, "w") as fh:
-            json.dump(rows, fh)
+            rows = [list(k) + list(v) for k, v in sorted(self._data.items())]
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(rows, fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def load(self, path) -> None:
         with open(path) as fh:
             rows = json.load(fh)
+        entries = {}
+        for row in rows:
+            if not isinstance(row, list) or len(row) != 8:
+                raise ValueError(
+                    f"{path}: cache row {row!r} is not 8 fields (clip, settings, metric, "
+                    "qp, k1, k2, rate, quality); files from before the metric was keyed "
+                    "have 7 fields"
+                )
+            clip, settings, metric_id, qp, k1, k2, rate, quality = row
+            entries[(clip, settings, metric_id, int(qp), k1, k2)] = (rate, quality)
         with self._lock:
-            for clip, settings, qp, k1, k2, rate, quality in rows:
-                self._data[(clip, settings, int(qp), k1, k2)] = (rate, quality)
+            self._data.update(entries)
 
 
 class CachingEncoder(EncoderBackend):

@@ -3,9 +3,9 @@
 Classic Powell scheme: line-minimize along each direction of a working set
 (initially the coordinate axes), then replace the direction of largest
 single-step decrease with the iteration's net displacement when the
-standard acceptance test passes. Line searches are golden-section on the
-feasible segment with one parabolic refinement, so no point is ever
-evaluated outside the box.
+standard acceptance test passes. Line searches use Brent's bounded method
+(golden section with parabolic interpolation, Brent 1973) on the feasible
+segment, so no point is ever evaluated outside the box.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+from scipy.optimize import minimize_scalar
 
 
 @dataclass
@@ -51,40 +50,15 @@ def _line_minimize(f1d, t_lo: float, t_hi: float, f_at_zero: float, xtol: float)
     best_t, best_f = 0.0, f_at_zero
     if t_hi - t_lo <= xtol:
         return best_t, best_f
-    history = [(0.0, f_at_zero)]
 
     def probe(t: float) -> float:
         ft = f1d(t)
-        history.append((t, ft))
         nonlocal best_t, best_f
         if ft < best_f:
             best_t, best_f = t, ft
         return ft
 
-    a, b = t_lo, t_hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = probe(c), probe(d)
-    while b - a > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = probe(d)
-
-    # one parabolic step through the best point and its nearest neighbours
-    history.sort()
-    idx = min(range(len(history)), key=lambda i: history[i][1])
-    if 0 < idx < len(history) - 1:
-        (x1, f1), (x2, f2), (x3, f3) = history[idx - 1], history[idx], history[idx + 1]
-        denom = (x2 - x1) * (f2 - f3) - (x2 - x3) * (f2 - f1)
-        if denom != 0.0:
-            t_p = x2 - 0.5 * ((x2 - x1) ** 2 * (f2 - f3) - (x2 - x3) ** 2 * (f2 - f1)) / denom
-            if t_lo <= t_p <= t_hi and abs(t_p - x2) > 1e-15:
-                probe(t_p)
+    minimize_scalar(probe, bounds=(t_lo, t_hi), method="bounded", options={"xatol": xtol})
     return best_t, best_f
 
 
@@ -96,7 +70,6 @@ def powell_box_minimize(
     ftol: float = 1e-8,
     max_iters: int = 50,
     xtol: float = 1e-4,
-    max_evals: int | None = None,
 ) -> PowellResult:
     """Minimize f over the box [lower, upper] starting at x0."""
     x = np.asarray(x0, dtype=float).copy()
@@ -135,8 +108,6 @@ def powell_box_minimize(
             fx = ft
         if 2.0 * abs(f_start - fx) <= ftol * (abs(f_start) + abs(fx) + 1e-12):
             converged = True
-            break
-        if max_evals is not None and len(evaluations) >= max_evals:
             break
         # direction-set update: try the extrapolated point along the net move
         d_net = x - x_start

@@ -254,3 +254,24 @@ class TestProcessBackend:
     def test_missing_duration(self, process_backend):
         with pytest.raises(BackendFailure, match="duration"):
             process_backend.encode(req(27, clip="unknown.y4m"))
+
+    def test_same_stem_clips_keep_separate_outputs(self, tmp_path):
+        met = tmp_path / "met.sh"
+        write_script(met, FAKE_METRIC.format(payload=json.dumps({"ms_ssim": 18.4})))
+        backend = ProcessBackend(
+            encode_template="cp {input} {output}",
+            metric_template=f"{met} {{output}} {{stats}}",
+            default_duration_s=1.0,
+            workdir=str(tmp_path),
+        )
+        clips = []
+        for name, size in (("a", 1000), ("b", 3000)):
+            (tmp_path / name).mkdir()
+            clip = tmp_path / name / "x.y4m"
+            clip.write_bytes(b"\0" * size)
+            clips.append(str(clip))
+        first, second = (backend.encode(req(27, clip=c)) for c in clips)
+        assert first.artifacts["bitstream"] != second.artifacts["bitstream"]
+        assert os.path.getsize(first.artifacts["bitstream"]) == 1000
+        assert os.path.getsize(second.artifacts["bitstream"]) == 3000
+        assert first.rate == pytest.approx(8.0) and second.rate == pytest.approx(24.0)

@@ -77,6 +77,14 @@ class TestOptimizeCommand:
         second = json.loads((tmp_path / "b" / "meadow.result.json").read_text())
         assert second["encodes"] == 0
 
+    def test_cache_without_metric_field_exits_1(self, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps([["meadow", "native", 27, 1.0, 1.0, 100.0, 18.0]]))
+        code = run("--out", tmp_path, "optimize", "meadow",
+                   "--config", DATA / "backend_synthetic.json", "--cache", cache)
+        assert code == 1
+        assert "7 fields" in capsys.readouterr().err
+
 
 class TestBdCommand:
     def test_identical_files_all_zero(self, tmp_path, capsys):

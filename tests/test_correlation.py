@@ -1,13 +1,17 @@
 """Tests for the monotone logistic mapping and correlation coefficients."""
 
+import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from perclip import LogisticParams, correlate, fit_logistic5
-from perclip.correlation import average_ranks, pearson
+from perclip.correlation import _sse, average_ranks, pearson
 from perclip.errors import DegenerateInput, TooFewPoints
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def brute_force_kendall_tau_b(x, y):
@@ -129,6 +133,22 @@ class TestFitLogistic5:
     def test_constant_objective_rejected(self):
         with pytest.raises(DegenerateInput):
             fit_logistic5(np.full(10, 3.0), np.linspace(0, 1, 10))
+
+    @pytest.mark.parametrize("column, seed_sse", [
+        ("msssim_db", 42.0877962),
+        ("psnr_y_db", 857.469712),
+        ("pvqm", 20.0231863),
+    ])
+    def test_shipped_metrics_fit_no_worse_than_before(self, column, seed_sse):
+        # seed_sse: the fit's squared error before the line search became
+        # Brent's method; the search change may not cost accuracy
+        with open(DATA / "subjective.csv", newline="") as fh:
+            subjective = {r["pvs_id"]: float(r["subjective"]) for r in csv.DictReader(fh)}
+        with open(DATA / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        x = np.array([float(r[column]) for r in rows])
+        y = np.array([subjective[r["pvs_id"]] for r in rows])
+        assert _sse(fit_logistic5(x, y), x, y) <= seed_sse * (1 + 1e-9)
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPoints):

@@ -1,5 +1,6 @@
 """Tests for cost evaluation, memoization, and the per-clip search."""
 
+import json
 import math
 
 import pytest
@@ -93,6 +94,59 @@ class TestEncodeCache:
         b = EncodeRequest(clip="c", qp=27, ks=LambdaMultipliers(1.0, 1.0), settings="native")
         assert EncodeCache.key(a) != EncodeCache.key(b)
 
+    def test_metric_is_part_of_the_key(self, tmp_path, backend):
+        ks = LambdaMultipliers(1.0, 1.0)
+        psnr = EncodeRequest(clip="c", qp=27, ks=ks, metric_id="psnr")
+        ms_ssim = EncodeRequest(clip="c", qp=27, ks=ks, metric_id="ms_ssim")
+        cache = EncodeCache()
+        cache.put(psnr, backend.encode(psnr))
+        assert cache.get(ms_ssim) is None
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        fresh = EncodeCache()
+        fresh.load(path)
+        assert fresh.get(psnr) is not None
+        assert fresh.get(ms_ssim) is None
+
+    def test_rows_without_metric_rejected(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps([["c", "native", 27, 1.0, 1.0, 100.0, 18.0]]))
+        with pytest.raises(ValueError, match="7 fields"):
+            EncodeCache().load(path)
+
+    def test_saved_file_independent_of_insertion_order(self, tmp_path, backend):
+        requests = [
+            EncodeRequest(clip=clip, qp=qp, ks=LambdaMultipliers(k, 1.0))
+            for clip in ("b", "a") for qp in (39, 27) for k in (1.5, 0.5)
+        ]
+        forward, backward = EncodeCache(), EncodeCache()
+        for r in requests:
+            forward.put(r, backend.encode(r))
+        for r in reversed(requests):
+            backward.put(r, backend.encode(r))
+        forward.save(tmp_path / "forward.json")
+        backward.save(tmp_path / "backward.json")
+        assert (tmp_path / "forward.json").read_bytes() == (tmp_path / "backward.json").read_bytes()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, backend, monkeypatch):
+        request = EncodeRequest(clip="c", qp=27, ks=LambdaMultipliers(1.0, 1.0))
+        cache = EncodeCache()
+        cache.put(request, backend.encode(request))
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        before = path.read_bytes()
+        other = EncodeRequest(clip="c", qp=39, ks=LambdaMultipliers(1.0, 1.0))
+        cache.put(other, backend.encode(other))
+
+        def crash(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", crash)
+        with pytest.raises(OSError, match="disk full"):
+            cache.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
 
 class TestOptimizeClip:
     def test_converges_to_model_optimum(self, backend):
@@ -103,6 +157,16 @@ class TestOptimizeClip:
         assert trace.best[1] < 0
         assert trace.evaluations[0].cost == 0.0  # start point is the baseline
         assert not trace.hit_iteration_cap
+        assert len(trace.evaluations) <= 45
+
+    def test_optimum_beyond_box_reaches_clamped_cost(self):
+        backend = SyntheticBackend(SyntheticModel(k_star=(4.5, 0.7)))
+        config = OptimizationConfig()
+        baseline = build_rd_curve(backend, "clip", LambdaMultipliers(1.0, 1.0), config.qps)
+        clamped = evaluate_cost(backend, "clip", LambdaMultipliers(4.0, 0.7), baseline, config)
+        _, trace = optimize_clip(backend, "clip", config)
+        assert abs(trace.best[1] - clamped) <= 0.01  # BD-rate pct-points
+        assert len(trace.evaluations) <= 124
 
     def test_baseline_already_optimal(self):
         backend = SyntheticBackend(SyntheticModel(k_star=(1.0, 1.0)))

@@ -21,7 +21,7 @@ class TestPowellMinimize:
         ks, cost = trace.best
         assert ks.k1 == pytest.approx(1.3, abs=1e-4)
         assert ks.k2 == pytest.approx(0.8, abs=1e-4)
-        assert len(trace.evaluations) < 200
+        assert len(trace.evaluations) <= 40
 
     def test_rosenbrock_from_default_start(self):
         trace = powell_minimize(rosenbrock, OptimizationConfig())
