@@ -296,8 +296,11 @@ def cmd_correlate(args) -> int:
     for name in metric_names:
         x = [float(r[name]) for r in joined]
         y = [subjective[r["pvs_id"]] for r in joined]
-        params = fit_logistic5(x, y) if args.map else None
-        rep = correlate(x, y, params=params)
+        try:
+            params = fit_logistic5(x, y) if args.map else None
+            rep = correlate(x, y, params=params)
+        except ValueError as exc:
+            raise ValueError(f"{args.metrics}: column {name}: {exc}") from exc
         out_rows.append([name, rep.plcc, rep.srocc, rep.krcc, rep.rmse, rep.n])
     path = out / "correlations.csv"
     _write_csv(path, ["metric", "plcc", "srocc", "krcc", "rmse", "n"], out_rows)

@@ -3,9 +3,11 @@ plus Pearson/Spearman/Kendall correlation reporting.
 
 The mapping is the five-parameter logistic
     mapped = b1 * (1/2 - 1/(1 + exp(b2 * (x - b3)))) + b4 * x + b5
-kept non-decreasing by the parameter bounds b1, b2, b4 >= 0. Rank
-coefficients use average ranks for ties (Spearman) and the tie-corrected
-tau-b (Kendall).
+kept non-decreasing by the parameter bounds b1, b2, b4 >= 0 and fitted by
+bounded trust-region-reflective least squares (scipy.optimize.least_squares).
+Rank coefficients come from scipy.stats: average ranks for ties (rankdata,
+Spearman) and the tie-corrected tau-b (kendalltau, Knight's O(n log n)
+merge count).
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.special import expit
+from scipy.stats import kendalltau, rankdata
 
-from .errors import DegenerateInput, FitDiverged, TooFewPoints
-from .powell import powell_box_minimize
+from .errors import DegenerateInput, FitDiverged, NonFiniteValue, TooFewPoints
+from .powell import powell_box_minimize  # only perfbench/spans.py reads this name
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,17 @@ def _sse(params: LogisticParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(r @ r)
 
 
+def _finite_pairs(objective, subjective) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(objective, dtype=float)
+    y = np.asarray(subjective, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("objective and subjective must be 1-d and equal length")
+    for name, v in (("objective", x), ("subjective", y)):
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteValue(f"{name} values must be finite")
+    return x, y
+
+
 def _linear_fallback(x: np.ndarray, y: np.ndarray, b3: float) -> LogisticParams:
     # best non-negative-slope line; the logistic family contains it
     vx = float(np.var(x))
@@ -65,13 +80,11 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
     """Least-squares fit of the monotone logistic mapping.
 
     Deterministic start (mid-range inflection, gentle slope), refined by
-    bounded derivative-free minimization over scaled parameters. The result
-    is never worse, in squared error, than the best non-decreasing line.
+    bounded trust-region-reflective least squares (Branch, Coleman & Li
+    1999) over parameters scaled to the unit box. The result is never worse,
+    in squared error, than the best non-decreasing line.
     """
-    x = np.asarray(objective, dtype=float)
-    y = np.asarray(subjective, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("objective and subjective must be 1-d and equal length")
+    x, y = _finite_pairs(objective, subjective)
     if len(x) < 6:
         raise TooFewPoints(f"need >= 6 pairs to fit, got {len(x)}")
     rng_x = float(x.max() - x.min())
@@ -97,15 +110,8 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
         p = lower + theta * span
         return LogisticParams(*(float(v) for v in p))
 
-    def cost(theta: np.ndarray) -> float:
-        val = _sse(unscale(theta), x, y)
-        return val if math.isfinite(val) else 1e300
-
-    search = dict(lower=np.zeros(5), upper=np.ones(5), ftol=1e-10, max_iters=200, xtol=1e-6)
-    result = powell_box_minimize(cost, x0=(start - lower) / span, **search)
-    # a restart with fresh coordinate directions leaves the narrow valleys
-    # where the direction set of the first search can stall
-    result = powell_box_minimize(cost, x0=result.x, **search)
+    result = least_squares(lambda theta: unscale(theta)(x) - y, (start - lower) / span,
+                           bounds=(0.0, 1.0), method="trf")
     fitted = unscale(result.x)
     baseline = _linear_fallback(x, y, b3=float(np.median(x)))
     if _sse(baseline, x, y) < _sse(fitted, x, y):
@@ -117,17 +123,7 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
 
 def average_ranks(values) -> np.ndarray:
     """Ranks starting at 1; tied values share the mean of their positions."""
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v), dtype=float)
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    return rankdata(values, method="average")
 
 
 def pearson(x, y) -> float:
@@ -144,20 +140,10 @@ def pearson(x, y) -> float:
 
 def kendall_tau_b(x, y) -> float:
     """Tie-corrected Kendall rank correlation (tau-b)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    concordance = float((dx[iu] * dy[iu]).sum())
-    n0 = n * (n - 1) / 2.0
-    n1 = sum(c * (c - 1) / 2.0 for c in np.unique(x, return_counts=True)[1])
-    n2 = sum(c * (c - 1) / 2.0 for c in np.unique(y, return_counts=True)[1])
-    denom = math.sqrt((n0 - n1) * (n0 - n2))
-    if denom == 0.0:
+    tau = float(kendalltau(x, y).statistic)
+    if math.isnan(tau):
         raise DegenerateInput("all values tied on one side")
-    return concordance / denom
+    return tau
 
 
 def correlate(objective, subjective, params: LogisticParams | None = None) -> CorrelationReport:
@@ -167,10 +153,7 @@ def correlate(objective, subjective, params: LogisticParams | None = None) -> Co
     mapped objective values; rank coefficients always use the raw values.
     Without params, RMSE is reported as 0.
     """
-    x = np.asarray(objective, dtype=float)
-    y = np.asarray(subjective, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("objective and subjective must be 1-d and equal length")
+    x, y = _finite_pairs(objective, subjective)
     n = len(x)
     if n < 3:
         raise TooFewPoints(f"need >= 3 pairs, got {n}")

@@ -17,11 +17,13 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .backends import EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers, build_rd_curve
 from .bd import bd_rate
 from .curves import RdCurve
 from .errors import BackendFailure, NoOverlap, NonAscendingAbscissae, TooFewPoints
-from .powell import PowellResult, powell_box_minimize
+from .powell import powell_box_minimize
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +67,10 @@ class OptimizationTrace:
     iterations: int
     encode_count: int
     hit_iteration_cap: bool
+
+
+def _finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 class EncodeCache:
@@ -137,7 +143,16 @@ class EncodeCache:
                     "have 7 fields"
                 )
             clip, settings, metric_id, qp, k1, k2, rate, quality = row
-            entries[(clip, settings, metric_id, int(qp), k1, k2)] = (rate, quality)
+            if not (all(isinstance(v, str) for v in (clip, settings, metric_id))
+                    and type(qp) is int and 0 <= qp <= 63
+                    and all(_finite(v) and v > 0 for v in (k1, k2, rate))
+                    and _finite(quality)):
+                raise ValueError(
+                    f"{path}: cache row {row!r} is not valid: clip, settings and metric "
+                    "must be strings, qp an integer in [0, 63], k1, k2 and rate finite "
+                    "and > 0, quality finite"
+                )
+            entries[(clip, settings, metric_id, qp, k1, k2)] = (rate, quality)
         with self._lock:
             self._data.update(entries)
 
@@ -192,27 +207,20 @@ def evaluate_cost(
         return math.inf
 
 
-def _trace_from(result: PowellResult, records: list[CostEvaluation],
-                encode_count: int) -> OptimizationTrace:
-    best = min(records, key=lambda r: r.cost)
-    return OptimizationTrace(
-        evaluations=tuple(records),
-        best=(best.ks, best.cost),
-        iterations=result.iterations,
-        encode_count=encode_count,
-        hit_iteration_cap=not result.converged,
-    )
-
-
-def powell_minimize(f, config: OptimizationConfig) -> OptimizationTrace:
-    """Minimize an arbitrary cost over the (k1, k2) box of the config."""
+def _box_search(cost, config: OptimizationConfig,
+                enc: CachingEncoder | None = None) -> OptimizationTrace:
+    """Minimize cost(ks) over the (k1, k2) box of the config, recording
+    every evaluation. With enc, an evaluation that issued no encode is a
+    cache hit and the trace counts enc's encodes."""
     records: list[CostEvaluation] = []
 
     def wrapped(x) -> float:
         ks = LambdaMultipliers(k1=float(x[0]), k2=float(x[1]))
-        cost = float(f(x))
-        records.append(CostEvaluation(ks=ks, cost=cost, cache_hit=False))
-        return cost
+        issued = enc.encodes_issued if enc else 0
+        value = cost(ks)
+        hit = enc is not None and enc.encodes_issued == issued
+        records.append(CostEvaluation(ks=ks, cost=value, cache_hit=hit))
+        return value
 
     k_min, k_max = config.bounds
     result = powell_box_minimize(
@@ -224,7 +232,19 @@ def powell_minimize(f, config: OptimizationConfig) -> OptimizationTrace:
         max_iters=config.max_iters,
         xtol=config.line_xtol,
     )
-    return _trace_from(result, records, encode_count=0)
+    best = min(records, key=lambda r: r.cost)
+    return OptimizationTrace(
+        evaluations=tuple(records),
+        best=(best.ks, best.cost),
+        iterations=result.iterations,
+        encode_count=enc.encodes_issued if enc else 0,
+        hit_iteration_cap=not result.converged,
+    )
+
+
+def powell_minimize(f, config: OptimizationConfig) -> OptimizationTrace:
+    """Minimize an arbitrary cost f(x), x = [k1, k2], over the box of the config."""
+    return _box_search(lambda ks: float(f(np.array([ks.k1, ks.k2]))), config)
 
 
 def optimize_clip(
@@ -248,32 +268,13 @@ def optimize_clip(
         enc, clip, LambdaMultipliers(1.0, 1.0), config.qps,
         settings=settings, metric_id=config.metric_id,
     )
-    records: list[CostEvaluation] = []
 
-    def cost(x) -> float:
-        ks = LambdaMultipliers(k1=float(x[0]), k2=float(x[1]))
-        misses_before = enc.encodes_issued
+    def cost(ks: LambdaMultipliers) -> float:
         try:
-            value = evaluate_cost(enc, clip, ks, baseline, config, settings=settings)
+            return evaluate_cost(enc, clip, ks, baseline, config, settings=settings)
         except BackendFailure as exc:
             log.warning("encode failed at (%.4f, %.4f): %s; using +inf", ks.k1, ks.k2, exc)
-            value = math.inf
-        records.append(
-            CostEvaluation(
-                ks=ks, cost=value, cache_hit=enc.encodes_issued == misses_before
-            )
-        )
-        return value
+            return math.inf
 
-    k_min, k_max = config.bounds
-    result = powell_box_minimize(
-        cost,
-        x0=config.x0,
-        lower=(k_min, k_min),
-        upper=(k_max, k_max),
-        ftol=config.ftol,
-        max_iters=config.max_iters,
-        xtol=config.line_xtol,
-    )
-    trace = _trace_from(result, records, encode_count=enc.encodes_issued)
+    trace = _box_search(cost, config, enc)
     return trace.best[0], trace

@@ -86,6 +86,14 @@ class TestOptimizeCommand:
         assert "7 fields" in capsys.readouterr().err
 
 
+    def test_cache_with_invalid_row_exits_1(self, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps([["meadow", "native", "ms_ssim", 27, 1.0, 1.0, -1.0, 18.0]]))
+        code = run("--out", tmp_path, "optimize", "meadow",
+                   "--config", DATA / "backend_synthetic.json", "--cache", cache)
+        assert code == 1
+        assert "cache row" in capsys.readouterr().err
+
 class TestBdCommand:
     def test_identical_files_all_zero(self, tmp_path, capsys):
         ref = DATA / "curves" / "meadow__default.curve.json"
@@ -257,6 +265,22 @@ class TestCorrelateCommand:
         assert float(row["srocc"]) == 1.0
         assert float(row["krcc"]) == 1.0
 
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_exits_1_naming_the_column(self, tmp_path, capsys, value):
+        metrics = tmp_path / "metrics.csv"
+        rows = read_rows(DATA / "metrics.csv")
+        rows[5]["psnr_y_db"] = value
+        with open(metrics, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        for mode in ("--map", "--no-map"):
+            code = run("--out", tmp_path / mode, "correlate", metrics,
+                       DATA / "subjective.csv", mode)
+            assert code == 1
+            assert "psnr_y_db" in capsys.readouterr().err
+            assert not (tmp_path / mode / "correlations.csv").exists()
 
 class TestReportCommand:
     def test_svg_structure(self, tmp_path):

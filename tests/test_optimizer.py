@@ -114,6 +114,44 @@ class TestEncodeCache:
         with pytest.raises(ValueError, match="7 fields"):
             EncodeCache().load(path)
 
+    @pytest.mark.parametrize("row", [
+        [7, "native", "ms_ssim", 27, 1.0, 1.0, 100.0, 18.0],
+        ["c", None, "ms_ssim", 27, 1.0, 1.0, 100.0, 18.0],
+        ["c", "native", 3, 27, 1.0, 1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", 27.5, 1.0, 1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", "27", 1.0, 1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", True, 1.0, 1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", -1, 1.0, 1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", 64, 1.0, 1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", 27, 0.0, 1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", 27, 1.0, -1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", 27, math.inf, 1.0, 100.0, 18.0],
+        ["c", "native", "ms_ssim", 27, 1.0, 1.0, -1.0, math.inf],
+        ["c", "native", "ms_ssim", 27, 1.0, 1.0, 0.0, 18.0],
+        ["c", "native", "ms_ssim", 27, 1.0, 1.0, math.nan, 18.0],
+        ["c", "native", "ms_ssim", 27, 1.0, 1.0, "NaN", -5],
+        ["c", "native", "ms_ssim", 27, 1.0, 1.0, 100.0, math.nan],
+        ["c", "native", "ms_ssim", 27, 1.0, 1.0, 100.0, None],
+    ])
+    def test_invalid_rows_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([["c", "native", "ms_ssim", 39, 1.0, 1.0, 80.0, 16.0], row]))
+        cache = EncodeCache()
+        with pytest.raises(ValueError, match="cache row") as info:
+            cache.load(path)
+        assert repr(row) in str(info.value)
+        assert len(cache) == 0
+
+    def test_valid_edge_rows_load(self, tmp_path):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps([
+            ["c", "native", "ms_ssim", 0, 0.2, 4, 1e-3, -7.5],
+            ["c", "native", "ms_ssim", 63, 1.0, 1.0, 100.0, 0.0],
+        ]))
+        cache = EncodeCache()
+        cache.load(path)
+        assert len(cache) == 2
+
     def test_saved_file_independent_of_insertion_order(self, tmp_path, backend):
         requests = [
             EncodeRequest(clip=clip, qp=qp, ks=LambdaMultipliers(k, 1.0))
