@@ -9,13 +9,13 @@ deterministic, and anchors to the default encoder curve at k = (1, 1).
 from __future__ import annotations
 
 import abc
+import dataclasses
 import hashlib
 import json
 import math
 import shlex
 import subprocess
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,13 +56,25 @@ class EncodeResult:
     artifacts: dict | None = None
 
 
+def _encode_labelled(encode, request: EncodeRequest) -> EncodeResult:
+    try:
+        return encode(request)
+    except BackendFailure as exc:
+        raise BackendFailure(f"qp {request.qp}: {exc}") from exc
+
+
 class EncoderBackend(abc.ABC):
-    """Contract: deterministic for identical requests, safe to call
-    concurrently with distinct requests."""
+    """Contract: deterministic for identical requests. Batches go through
+    encode_many, which by default encodes serially on the caller's thread."""
 
     @abc.abstractmethod
     def encode(self, request: EncodeRequest) -> EncodeResult:
         raise NotImplementedError
+
+    def encode_many(self, requests) -> list[EncodeResult]:
+        """Results in request order. A BackendFailure is re-raised with the
+        qp of the request that failed."""
+        return [_encode_labelled(self.encode, r) for r in requests]
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,8 @@ class ProcessBackend(EncoderBackend):
     keys of the selected settings profile. metric_template additionally gets
     {stats}. Rate comes from the output container size over the clip
     duration; quality from the metric stats JSON under the metric key.
+    encode_many runs up to pool_size encodes at once on the backend's executor,
+    whose idle threads exit once the backend is garbage-collected.
     """
 
     encode_template: str
@@ -146,7 +160,7 @@ class ProcessBackend(EncoderBackend):
     workdir: str = "."
 
     def __post_init__(self) -> None:
-        self._slots = threading.Semaphore(max(1, int(self.pool_size)))
+        self._pool = ThreadPoolExecutor(max_workers=max(1, int(self.pool_size)))
 
     def _duration(self, clip: str) -> float:
         dur = self.clip_durations.get(clip, self.default_duration_s)
@@ -191,11 +205,10 @@ class ProcessBackend(EncoderBackend):
             k2=request.ks.k2,
             stats=str(stats),
         )
-        with self._slots:
-            self._run(self.encode_template.format(**fields))
-            if not out.exists():
-                raise BackendFailure(f"encoder produced no output at {out}")
-            self._run(self.metric_template.format(**fields))
+        self._run(self.encode_template.format(**fields))
+        if not out.exists():
+            raise BackendFailure(f"encoder produced no output at {out}")
+        self._run(self.metric_template.format(**fields))
         size = out.stat().st_size
         rate = 8.0 * size / self._duration(request.clip) / 1000.0
         try:
@@ -212,10 +225,17 @@ class ProcessBackend(EncoderBackend):
         return EncodeResult(rate=rate, quality=quality,
                             artifacts={"bitstream": str(out), "stats": str(stats)})
 
+    def encode_many(self, requests) -> list[EncodeResult]:
+        """Concurrent encode_many; a failure is raised once the whole batch is done."""
+        futures = [self._pool.submit(_encode_labelled, self.encode, r) for r in requests]
+        wait(futures)
+        return [f.result() for f in futures]
+
 
 def build_rd_curve(backend: EncoderBackend, clip: str, ks: LambdaMultipliers,
                    qps, settings: str = "native", metric_id: str = "ms_ssim") -> RdCurve:
-    """Encode the clip once per qp (concurrently) and assemble the curve."""
+    """Encode the clip once per qp, as one backend.encode_many batch, and
+    assemble the curve."""
     qps = list(qps)
     if len(qps) < 2:
         raise ValueError(f"need >= 2 qps, got {qps}")
@@ -225,42 +245,41 @@ def build_rd_curve(backend: EncoderBackend, clip: str, ks: LambdaMultipliers,
         EncodeRequest(clip=clip, qp=qp, ks=ks, settings=settings, metric_id=metric_id)
         for qp in qps
     ]
-
-    def run(req: EncodeRequest) -> EncodeResult:
-        try:
-            return backend.encode(req)
-        except BackendFailure as exc:
-            raise BackendFailure(f"qp {req.qp}: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=len(requests)) as pool:
-        results = list(pool.map(run, requests))
     points = [
         RdPoint(rate=res.rate, quality=res.quality, qp=req.qp)
-        for req, res in zip(requests, results)
+        for req, res in zip(requests, backend.encode_many(requests))
     ]
     return build_curve(points, metric_id)
+
+
+def from_section(cls, section: dict, name: str):
+    """Build dataclass cls from the config-file section called name: lists
+    become tuples, and a key that is not a field of cls is a ValueError."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for key in section:
+        if key not in fields:
+            raise ValueError(f"{name}: unknown key {key!r}; known: {', '.join(sorted(fields))}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in section.items()})
+    except TypeError as exc:  # a required key is missing or a value has the wrong type
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def backend_from_config(cfg: dict) -> EncoderBackend:
     """Build a backend from the parsed config file's "backend" section."""
     kind = cfg.get("kind")
+    params = {k: v for k, v in cfg.items() if k != "kind"}
     if kind == "synthetic":
-        model = SyntheticModel(**cfg.get("model", {}))
-        per_clip = {
-            name: SyntheticModel(**params)
-            for name, params in cfg.get("clips", {}).items()
-        }
-        return SyntheticBackend(model=model, per_clip=per_clip)
-    if kind == "process":
-        return ProcessBackend(
-            encode_template=cfg["encode_template"],
-            metric_template=cfg["metric_template"],
-            settings=cfg.get("settings", {"native": {}}),
-            timeout_s=cfg.get("timeout_s", 600.0),
-            pool_size=cfg.get("pool_size", 4),
-            stats_keys=cfg.get("stats_keys", {}),
-            clip_durations=cfg.get("clip_durations", {}),
-            default_duration_s=cfg.get("default_duration_s"),
-            workdir=cfg.get("workdir", "."),
+        unknown = sorted(params.keys() - {"model", "clips"})
+        if unknown:
+            raise ValueError(f"backend: unknown key {unknown[0]!r}; known: clips, kind, model")
+        return SyntheticBackend(
+            model=from_section(SyntheticModel, cfg.get("model", {}), "backend.model"),
+            per_clip={
+                clip: from_section(SyntheticModel, section, f"backend.clips.{clip}")
+                for clip, section in cfg.get("clips", {}).items()
+            },
         )
+    if kind == "process":
+        return from_section(ProcessBackend, params, "backend")
     raise ValueError(f"unknown backend kind {kind!r}")

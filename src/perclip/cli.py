@@ -15,7 +15,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backends import backend_from_config
+from .backends import backend_from_config, from_section
 from .bd import bd_quality, bd_rate, bitrate_savings, default_anchors
 from .correlation import fit_logistic5, correlate
 from .curves import load_curve_file
@@ -55,18 +55,18 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([fmt(v) for v in row])
 
 
-def _write_manifest(out: Path, command: str, inputs: list[str], outputs: list[Path],
-                    started: str, exit_code: int, config: str | None = None) -> None:
+def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
+                    exit_code: int, config: str | None = None) -> None:
     doc = {
         "command": command,
         "inputs": inputs,
         "config": config,
         "outputs": [str(p) for p in outputs],
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
+        "started": args.started,
+        "finished": _now(),
         "exit_code": exit_code,
     }
-    with open(out / "manifest.json", "w") as fh:
+    with open(Path(args.out) / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -76,21 +76,11 @@ def _now() -> str:
 
 
 def cmd_optimize(args) -> int:
-    started = _now()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(args.config) as fh:
         cfg = json.load(fh)
     backend = backend_from_config(cfg["backend"])
-    opt_cfg = cfg.get("optimizer", {})
-    config = OptimizationConfig(
-        qps=tuple(opt_cfg.get("qps", (27, 39, 49, 59, 63))),
-        bounds=tuple(opt_cfg.get("bounds", (0.2, 4.0))),
-        x0=tuple(opt_cfg.get("x0", (1.0, 1.0))),
-        ftol=opt_cfg.get("ftol", 1e-6),
-        max_iters=opt_cfg.get("max_iters", 20),
-        metric_id=opt_cfg.get("metric_id", "ms_ssim"),
-    )
+    config = from_section(OptimizationConfig, cfg.get("optimizer", {}), "optimizer")
     cache = None
     if args.cache:
         cache = EncodeCache()
@@ -132,20 +122,17 @@ def cmd_optimize(args) -> int:
     if args.cache:
         cache.save(args.cache)
     code = 2 if any_capped else 0
-    _write_manifest(out, "optimize", list(args.clips), outputs, started, code, args.config)
+    _write_manifest(args, "optimize", list(args.clips), outputs, code, args.config)
     return code
 
 
 def cmd_bd(args) -> int:
-    started = _now()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ref, ref_meta = load_curve_file(args.ref)
     test, _ = load_curve_file(args.test)
     clip = ref_meta.get("clip") or Path(args.ref).stem
     rate_res = bd_rate(ref, test, clean=args.clean)
     qual_res = bd_quality(ref, test)
-    anchors = None
     if args.anchors:
         anchors = [
             (f"q{v}", float(v)) for v in args.anchors.split(",")
@@ -164,14 +151,12 @@ def cmd_bd(args) -> int:
     _write_csv(path, header, [row])
     with open(path) as fh:
         sys.stdout.write(fh.read())
-    _write_manifest(out, "bd", [args.ref, args.test], [path], started, 0)
+    _write_manifest(args, "bd", [args.ref, args.test], [path], 0)
     return 0
 
 
 def cmd_scores(args) -> int:
-    started = _now()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.dmos_from == "recovered" and not args.recover:
         raise ValueError("--dmos-from recovered requires --recover")
     rows = read_scores_csv(args.scores)
@@ -263,7 +248,7 @@ def cmd_scores(args) -> int:
             outputs.append(path)
 
     inputs = [args.scores] + ([args.pairing] if args.pairing else [])
-    _write_manifest(out, "scores", inputs, outputs, started, 0)
+    _write_manifest(args, "scores", inputs, outputs, 0)
     return 0
 
 
@@ -276,9 +261,7 @@ def _read_table(path) -> tuple[list[str], list[dict]]:
 
 
 def cmd_correlate(args) -> int:
-    started = _now()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     m_cols, m_rows = _read_table(args.metrics)
     s_cols, s_rows = _read_table(args.subjective)
     if "pvs_id" not in m_cols or "pvs_id" not in s_cols:
@@ -306,14 +289,12 @@ def cmd_correlate(args) -> int:
     _write_csv(path, ["metric", "plcc", "srocc", "krcc", "rmse", "n"], out_rows)
     with open(path) as fh:
         sys.stdout.write(fh.read())
-    _write_manifest(out, "correlate", [args.metrics, args.subjective], [path], started, 0)
+    _write_manifest(args, "correlate", [args.metrics, args.subjective], [path], 0)
     return 0
 
 
 def cmd_report(args) -> int:
-    started = _now()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if not args.curves:
         raise ValueError("no curve files given")
     by_clip: dict[str, list[tuple[str, CurveSeries, str]]] = {}
@@ -353,7 +334,7 @@ def cmd_report(args) -> int:
         summary_rows,
     )
     outputs.append(summary)
-    _write_manifest(out, "report", list(args.curves), outputs, started, 0)
+    _write_manifest(args, "report", list(args.curves), outputs, 0)
     return 0
 
 
@@ -414,6 +395,8 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        args.started = _now()
         return args.func(args)
     except (PerclipError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -422,3 +405,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -38,7 +38,6 @@ class OptimizationConfig:
     ftol: float = 1e-6
     max_iters: int = 20
     metric_id: str = "ms_ssim"
-    line_xtol: float = 1e-4  # absolute tolerance of the line search, in k units
 
     def __post_init__(self) -> None:
         if len(set(self.qps)) != len(self.qps):
@@ -163,21 +162,23 @@ class CachingEncoder(EncoderBackend):
     def __init__(self, backend: EncoderBackend, cache: EncodeCache | None = None):
         self.backend = backend
         self.cache = cache if cache is not None else EncodeCache()
-        self._lock = threading.Lock()
         self.encodes_issued = 0
-        self.cache_hits = 0
 
     def encode(self, request: EncodeRequest) -> EncodeResult:
-        hit = self.cache.get(request)
-        if hit is not None:
-            with self._lock:
-                self.cache_hits += 1
-            return hit
-        result = self.backend.encode(request)
-        self.cache.put(request, result)
-        with self._lock:
-            self.encodes_issued += 1
-        return result
+        return self.encode_many([request])[0]
+
+    def encode_many(self, requests) -> list[EncodeResult]:
+        """Answer hits from the cache and send the misses, in request order,
+        to the wrapped backend as one batch."""
+        results = [self.cache.get(r) for r in requests]
+        misses = [i for i, res in enumerate(results) if res is None]
+        if misses:
+            fresh = self.backend.encode_many([requests[i] for i in misses])
+            for i, res in zip(misses, fresh):
+                self.cache.put(requests[i], res)
+                results[i] = res
+            self.encodes_issued += len(misses)
+        return results
 
 
 def evaluate_cost(
@@ -230,7 +231,6 @@ def _box_search(cost, config: OptimizationConfig,
         upper=(k_max, k_max),
         ftol=config.ftol,
         max_iters=config.max_iters,
-        xtol=config.line_xtol,
     )
     best = min(records, key=lambda r: r.cost)
     return OptimizationTrace(

@@ -3,6 +3,8 @@
 import json
 import os
 import stat
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from perclip import (
     build_rd_curve,
     synthetic_encode,
 )
+from perclip.backends import backend_from_config
 from perclip.errors import BackendFailure
 
 KS_DEFAULT = LambdaMultipliers(1.0, 1.0)
@@ -158,6 +161,20 @@ class TestBuildRdCurve:
         with pytest.raises(BackendFailure, match="qp 49"):
             build_rd_curve(Broken(), "c", KS_DEFAULT, (27, 49, 63))
 
+    def test_failure_names_the_qp_through_process_backend(self, tmp_path):
+        enc = tmp_path / "enc.sh"
+        write_script(enc, '#!/bin/sh\n[ "$3" != 49 ] || exit 5\nhead -c 1000 /dev/zero > "$2"\n')
+        met = tmp_path / "met.sh"
+        write_script(met, FAKE_METRIC.format(payload=json.dumps({"ms_ssim": 18.4})))
+        backend = ProcessBackend(
+            encode_template=f"{enc} {{input}} {{output}} {{qp}}",
+            metric_template=f"{met} {{output}} {{stats}}",
+            default_duration_s=5.0,
+            workdir=str(tmp_path),
+        )
+        with pytest.raises(BackendFailure, match="qp 49: .*exited 5"):
+            build_rd_curve(backend, "c", KS_DEFAULT, (27, 49, 63))
+
 
 FAKE_ENCODER = """#!/bin/sh
 # fake encoder: writes a fixed-size payload
@@ -275,3 +292,85 @@ class TestProcessBackend:
         assert os.path.getsize(first.artifacts["bitstream"]) == 1000
         assert os.path.getsize(second.artifacts["bitstream"]) == 3000
         assert first.rate == pytest.approx(8.0) and second.rate == pytest.approx(24.0)
+
+    def test_encode_many_keeps_pool_size_encodes_in_flight(self, tmp_path):
+        pool_size = 3
+        # every encode waits at the barrier until pool_size of them are in
+        # flight, so the batch only completes if the pool reaches pool_size
+        barrier = threading.Barrier(pool_size, timeout=30)
+        lock = threading.Lock()
+        in_flight, peak = 0, 0
+
+        class Counting(ProcessBackend):
+            def _run(self, cmd):
+                nonlocal in_flight, peak
+                tool, path = cmd.split()
+                if tool == "met":
+                    Path(path).write_text(json.dumps({"ms_ssim": 18.4}))
+                    return
+                with lock:
+                    in_flight += 1
+                    peak = max(peak, in_flight)
+                barrier.wait()
+                Path(path).write_bytes(b"\0" * 1000)
+                with lock:
+                    in_flight -= 1
+
+        backend = Counting(
+            encode_template="enc {output}",
+            metric_template="met {stats}",
+            pool_size=pool_size,
+            default_duration_s=1.0,
+            workdir=str(tmp_path),
+        )
+        qps = [27, 31, 35, 39, 43, 47]
+        results = backend.encode_many([req(qp, clip="c") for qp in qps])
+        assert len(results) == len(qps)
+        assert peak == pool_size
+
+    def test_executor_threads_end_with_the_backend(self, tmp_path):
+        payload = tmp_path / "payload.json"
+        payload.write_text(json.dumps({"ms_ssim": 18.4}))
+        backend = ProcessBackend(
+            encode_template=f"cp {payload} {{output}}",
+            metric_template=f"cp {payload} {{stats}}",
+            default_duration_s=1.0,
+            workdir=str(tmp_path),
+        )
+        backend.encode_many([req(qp, clip="c") for qp in (27, 39)])
+        threads = list(backend._pool._threads)
+        assert threads
+        del backend
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+
+class TestBackendFromConfig:
+    def test_process_defaults_come_from_the_dataclass(self):
+        backend = backend_from_config(
+            {"kind": "process", "encode_template": "e", "metric_template": "m"}
+        )
+        assert backend == ProcessBackend(encode_template="e", metric_template="m")
+
+    @pytest.mark.parametrize("cfg, section, key", [
+        ({"kind": "synthetic", "model": {"qmaxx": 3}}, "backend.model", "qmaxx"),
+        ({"kind": "synthetic", "clips": {"hero": {"k_stra": [1, 1]}}},
+         "backend.clips.hero", "k_stra"),
+        ({"kind": "synthetic", "modle": {}}, "backend", "modle"),
+        ({"kind": "process", "encode_template": "e", "metric_template": "m",
+          "pool": 2}, "backend", "pool"),
+    ])
+    def test_unknown_key_names_section_and_key(self, cfg, section, key):
+        with pytest.raises(ValueError, match=f"^{section}: unknown key '{key}'"):
+            backend_from_config(cfg)
+
+    def test_missing_template_is_value_error(self):
+        with pytest.raises(ValueError, match="^backend: .*metric_template"):
+            backend_from_config({"kind": "process", "encode_template": "e"})
+
+    def test_list_values_become_tuples(self):
+        backend = backend_from_config(
+            {"kind": "synthetic", "clips": {"hero": {"k_star": [1.5, 0.5]}}}
+        )
+        assert backend.per_clip["hero"] == SyntheticModel(k_star=(1.5, 0.5))

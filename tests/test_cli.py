@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import pytest
 
 from perclip.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -93,6 +97,36 @@ class TestOptimizeCommand:
                    "--config", DATA / "backend_synthetic.json", "--cache", cache)
         assert code == 1
         assert "cache row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["backend"].update(model={"qmaxx": 3}),
+         "backend.model: unknown key 'qmaxx'"),
+        (lambda cfg: cfg["optimizer"].update(max_iter=1),
+         "optimizer: unknown key 'max_iter'"),
+    ], ids=["model", "optimizer"])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, edit, message):
+        cfg = json.loads((DATA / "backend_synthetic.json").read_text())
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run("--out", tmp_path, "optimize", "meadow", "--config", cfg_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+
+    def test_python_m_runs_the_cli(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "perclip.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "optimize" in proc.stdout
+
 
 class TestBdCommand:
     def test_identical_files_all_zero(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import pytest
 
@@ -186,7 +187,52 @@ class TestEncodeCache:
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
+class TestCachingEncoder:
+    class Recording(SyntheticBackend):
+        def __init__(self):
+            super().__init__()
+            self.batches = []
+
+        def encode_many(self, requests):
+            self.batches.append([r.qp for r in requests])
+            return super().encode_many(requests)
+
+    def test_only_misses_go_to_the_backend_in_request_order(self):
+        inner = self.Recording()
+        cache = EncodeCache()
+        ks = LambdaMultipliers(1.2, 0.9)
+        for qp in (39, 59):
+            request = EncodeRequest(clip="c", qp=qp, ks=ks)
+            cache.put(request, inner.encode(request))
+        enc = CachingEncoder(inner, cache)
+        curve = build_rd_curve(enc, "c", ks, QPS)
+        assert inner.batches == [[27, 49, 63]]
+        assert enc.encodes_issued == 3
+        assert curve == build_rd_curve(SyntheticBackend(), "c", ks, QPS)
+
+    def test_repeated_curve_sends_nothing(self):
+        inner = self.Recording()
+        enc = CachingEncoder(inner)
+        first = build_rd_curve(enc, "c", LambdaMultipliers(1.0, 1.0), QPS)
+        second = build_rd_curve(enc, "c", LambdaMultipliers(1.0, 1.0), QPS)
+        assert inner.batches == [list(QPS)]
+        assert second == first
+        assert enc.encodes_issued == len(QPS)
+
+
 class TestOptimizeClip:
+    def test_synthetic_encodes_run_on_the_calling_thread(self):
+        threads = set()
+
+        class Recording(SyntheticBackend):
+            def encode(self, request):
+                threads.add(threading.get_ident())
+                return super().encode(request)
+
+        _, trace = optimize_clip(Recording(), "clip")
+        assert trace.encode_count > 0
+        assert threads == {threading.get_ident()}
+
     def test_converges_to_model_optimum(self, backend):
         ks, trace = optimize_clip(backend, "clip")
         model = SyntheticModel()
