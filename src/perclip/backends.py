@@ -252,11 +252,19 @@ def build_rd_curve(backend: EncoderBackend, clip: str, ks: LambdaMultipliers,
     return build_curve(points, metric_id)
 
 
+def json_object(section, name: str) -> dict:
+    """section itself if it is a JSON object (a dict); else a ValueError naming it."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{name}: expected a JSON object, got {type(section).__name__}")
+    return section
+
+
 def from_section(cls, section: dict, name: str):
     """Build dataclass cls from the config-file section called name: lists
-    become tuples, and a key that is not a field of cls is a ValueError."""
+    become tuples, and a key that is not a field of cls is a ValueError, as
+    is a section that is not a JSON object."""
     fields = {f.name for f in dataclasses.fields(cls)}
-    for key in section:
+    for key in json_object(section, name):
         if key not in fields:
             raise ValueError(f"{name}: unknown key {key!r}; known: {', '.join(sorted(fields))}")
     try:
@@ -267,7 +275,7 @@ def from_section(cls, section: dict, name: str):
 
 def backend_from_config(cfg: dict) -> EncoderBackend:
     """Build a backend from the parsed config file's "backend" section."""
-    kind = cfg.get("kind")
+    kind = json_object(cfg, "backend").get("kind")
     params = {k: v for k, v in cfg.items() if k != "kind"}
     if kind == "synthetic":
         unknown = sorted(params.keys() - {"model", "clips"})
@@ -277,7 +285,7 @@ def backend_from_config(cfg: dict) -> EncoderBackend:
             model=from_section(SyntheticModel, cfg.get("model", {}), "backend.model"),
             per_clip={
                 clip: from_section(SyntheticModel, section, f"backend.clips.{clip}")
-                for clip, section in cfg.get("clips", {}).items()
+                for clip, section in json_object(cfg.get("clips", {}), "backend.clips").items()
             },
         )
     if kind == "process":

@@ -11,11 +11,12 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backends import backend_from_config, from_section
+from .backends import backend_from_config, from_section, json_object
 from .bd import bd_quality, bd_rate, bitrate_savings, default_anchors
 from .correlation import fit_logistic5, correlate
 from .curves import load_curve_file
@@ -78,7 +79,7 @@ def _now() -> str:
 def cmd_optimize(args) -> int:
     out = Path(args.out)
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        cfg = json_object(json.load(fh), args.config)
     backend = backend_from_config(cfg["backend"])
     config = from_section(OptimizationConfig, cfg.get("optimizer", {}), "optimizer")
     cache = None
@@ -260,6 +261,22 @@ def _read_table(path) -> tuple[list[str], list[dict]]:
         return list(reader.fieldnames), list(reader)
 
 
+def _floats(path, rows: list[dict], column: str) -> list[float]:
+    """One column as finite floats; a missing, non-numeric or non-finite cell
+    names the file, the column and the row's pvs_id."""
+    values = []
+    for r in rows:
+        try:
+            values.append(float(r[column]))
+        except (TypeError, ValueError):
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise ValueError(
+                f"{path}: column {column}: bad value {r[column]!r} for {r['pvs_id']!r}"
+            )
+    return values
+
+
 def cmd_correlate(args) -> int:
     out = Path(args.out)
     m_cols, m_rows = _read_table(args.metrics)
@@ -269,16 +286,18 @@ def cmd_correlate(args) -> int:
     subj_col = next((c for c in ("subjective", "mos", "dmos") if c in s_cols), None)
     if subj_col is None:
         raise ValueError(f"{args.subjective}: no subjective/mos/dmos column")
-    subjective = {r["pvs_id"]: float(r[subj_col]) for r in s_rows}
+    subjective = dict(zip(
+        (r["pvs_id"] for r in s_rows), _floats(args.subjective, s_rows, subj_col)
+    ))
     metric_names = [c for c in m_cols if c != "pvs_id"]
     joined = [r for r in m_rows if r["pvs_id"] in subjective]
     if len(joined) < 3:
         raise ValueError(f"join produced {len(joined)} rows; need >= 3")
+    y = [subjective[r["pvs_id"]] for r in joined]
 
     out_rows = []
     for name in metric_names:
-        x = [float(r[name]) for r in joined]
-        y = [subjective[r["pvs_id"]] for r in joined]
+        x = _floats(args.metrics, joined, name)
         try:
             params = fit_logistic5(x, y) if args.map else None
             rep = correlate(x, y, params=params)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import t as student_t
@@ -19,16 +19,8 @@ from scipy.stats import t as student_t
 from .errors import MissingPair, NonConvergence, TooFewRaters
 
 NU_FLOOR = 0.1  # keeps 1/nu^2 finite for perfectly consistent subjects
-
-
-@dataclass(frozen=True)
-class PvsInfo:
-    """Stimulus metadata: its role (src or dist) and encode provenance."""
-
-    role: str | None = None
-    clip: str | None = None
-    qp: int | None = None
-    variant: str | None = None
+TOL = 1e-8  # recover_mle stops when no parameter moves more than this in a sweep
+MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -36,7 +28,6 @@ class ScoreMatrix:
     subjects: tuple[str, ...]
     stimuli: tuple[str, ...]
     scores: np.ndarray  # shape (n_subjects, n_stimuli), NaN = missing
-    roles: dict[str, PvsInfo] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=float)
@@ -66,12 +57,12 @@ class ScoreMatrix:
         return np.isfinite(self.scores)
 
     def subset_subjects(self, keep) -> "ScoreMatrix":
-        idx = [i for i, s in enumerate(self.subjects) if s in set(keep)]
+        keep = set(keep)
+        idx = [i for i, s in enumerate(self.subjects) if s in keep]
         return ScoreMatrix(
             subjects=tuple(self.subjects[i] for i in idx),
             stimuli=self.stimuli,
             scores=self.scores[idx, :],
-            roles=self.roles,
         )
 
 
@@ -214,9 +205,6 @@ def _loglik(scores, present, psi, delta, nu) -> float:
 def recover_mle(
     matrix: ScoreMatrix,
     method: str = "p913",
-    nu_floor: float = NU_FLOOR,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
     fixed_inconsistency: float | None = None,
 ) -> SubjectModel:
     """Fit scores = psi[stimulus] + delta[subject] + nu[subject] * noise.
@@ -225,9 +213,11 @@ def recover_mle(
     precision-weighted means, biases are per-subject residual means,
     inconsistencies are per-subject residual stds (floored). Biases are
     recentered to zero mean each sweep, compensating psi so the likelihood
-    is untouched. The two presets run the same solver; the method name is
-    recorded on the result. fixed_inconsistency freezes nu at a constant
-    for every subject (useful for sensitivity checks).
+    is untouched. The first sweep starts from zero bias and unit
+    inconsistency, so its psi is the plain mean; iterations counts it. The
+    two presets run the same solver; the method name is recorded on the
+    result. fixed_inconsistency freezes nu at a constant for every subject
+    (useful for sensitivity checks).
     """
     method = method.lower()
     if method not in ("p910", "p913"):
@@ -238,32 +228,23 @@ def recover_mle(
         bad = matrix.subjects[int(np.argmin(per_subject))]
         raise TooFewRaters(f"subject {bad!r} has fewer than 2 scores")
     scores = np.where(present, matrix.scores, 0.0)
-    n_stim_per_subject = per_subject.astype(float)
-    n_subj_per_stim = present.sum(axis=0).astype(float)
-
-    psi = scores.sum(axis=0) / n_subj_per_stim
-    resid0 = np.where(present, scores - psi[None, :], 0.0)
-    delta = resid0.sum(axis=1) / n_stim_per_subject
-    resid1 = np.where(present, resid0 - delta[:, None], 0.0)
-    if fixed_inconsistency is not None:
-        nu = np.full(len(matrix.subjects), max(fixed_inconsistency, nu_floor))
-    else:
-        nu = np.maximum(np.sqrt((resid1**2).sum(axis=1) / n_stim_per_subject), nu_floor)
-    shift = float(delta.mean())
-    delta = delta - shift
-    psi = psi + shift
+    n_scored = per_subject.astype(float)
+    n_subjects = len(matrix.subjects)
+    psi = np.zeros(len(matrix.stimuli))
+    delta = np.zeros(n_subjects)
+    nu = np.ones(n_subjects)
 
     trace: list[float] = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         psi_old, delta_old, nu_old = psi, delta, nu
         w = np.where(present, (1.0 / nu**2)[:, None], 0.0)
         psi = (w * (scores - delta[:, None])).sum(axis=0) / w.sum(axis=0)
-        delta = np.where(present, scores - psi[None, :], 0.0).sum(axis=1) / n_stim_per_subject
-        resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
+        delta = np.where(present, scores - psi[None, :], 0.0).sum(axis=1) / n_scored
         if fixed_inconsistency is None:
-            nu = np.maximum(np.sqrt((resid**2).sum(axis=1) / n_stim_per_subject), nu_floor)
+            resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
+            nu = np.maximum(np.sqrt((resid**2).sum(axis=1) / n_scored), NU_FLOOR)
+        else:
+            nu = np.full(n_subjects, max(fixed_inconsistency, NU_FLOOR))
         shift = float(delta.mean())
         delta = delta - shift
         psi = psi + shift
@@ -273,11 +254,10 @@ def recover_mle(
             float(np.abs(delta - delta_old).max()),
             float(np.abs(nu - nu_old).max()),
         )
-        if change < tol:
-            converged = True
+        if change < TOL:
             break
-    if not converged:
-        raise NonConvergence(f"no convergence after {max_sweeps} sweeps")
+    else:
+        raise NonConvergence(f"no convergence after {MAX_SWEEPS} sweeps")
 
     info = np.where(present, (1.0 / nu**2)[:, None], 0.0).sum(axis=0)
     ci95 = 1.96 / np.sqrt(info)
@@ -305,8 +285,9 @@ class ScoreRow:
 
 def read_scores_csv(path) -> list[ScoreRow]:
     """Read rows of subject_id,pvs_id,score plus optional metadata columns
-    (clip, qp, variant, role, cohort...). Raises ValueError with the line
-    number on malformed rows."""
+    (clip, qp, variant, role, cohort...), kept as strings in ScoreRow.meta.
+    Raises ValueError with the line number on malformed rows, including a
+    score that is not a finite number."""
     rows: list[ScoreRow] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -317,6 +298,8 @@ def read_scores_csv(path) -> list[ScoreRow]:
             try:
                 score = float(rec["score"])
             except (TypeError, ValueError):
+                score = math.nan
+            if not math.isfinite(score):
                 raise ValueError(f"{path}: line {lineno}: bad score {rec.get('score')!r}")
             if not (rec.get("subject_id") and rec.get("pvs_id")):
                 raise ValueError(f"{path}: line {lineno}: empty subject_id or pvs_id")
@@ -331,34 +314,16 @@ def read_scores_csv(path) -> list[ScoreRow]:
 
 
 def build_score_matrix(rows: list[ScoreRow]) -> ScoreMatrix:
-    subjects: list[str] = []
-    stimuli: list[str] = []
-    for r in rows:
-        if r.subject_id not in subjects:
-            subjects.append(r.subject_id)
-        if r.pvs_id not in stimuli:
-            stimuli.append(r.pvs_id)
-    s_idx = {s: i for i, s in enumerate(subjects)}
-    e_idx = {e: j for j, e in enumerate(stimuli)}
-    scores = np.full((len(subjects), len(stimuli)), np.nan)
-    roles: dict[str, PvsInfo] = {}
+    """Subjects and stimuli in order of first appearance; one score per pair."""
+    s_idx = {s: i for i, s in enumerate(dict.fromkeys(r.subject_id for r in rows))}
+    e_idx = {e: j for j, e in enumerate(dict.fromkeys(r.pvs_id for r in rows))}
+    scores = np.full((len(s_idx), len(e_idx)), np.nan)
     for r in rows:
         i, j = s_idx[r.subject_id], e_idx[r.pvs_id]
-        if np.isfinite(scores[i, j]):
+        if not math.isnan(scores[i, j]):
             raise ValueError(f"duplicate score for ({r.subject_id}, {r.pvs_id})")
         scores[i, j] = r.score
-        if r.pvs_id not in roles and any(
-            k in r.meta for k in ("role", "clip", "qp", "variant")
-        ):
-            roles[r.pvs_id] = PvsInfo(
-                role=r.meta.get("role"),
-                clip=r.meta.get("clip"),
-                qp=int(r.meta["qp"]) if r.meta.get("qp") else None,
-                variant=r.meta.get("variant"),
-            )
-    return ScoreMatrix(
-        subjects=tuple(subjects), stimuli=tuple(stimuli), scores=scores, roles=roles
-    )
+    return ScoreMatrix(subjects=tuple(s_idx), stimuli=tuple(e_idx), scores=scores)
 
 
 def subject_cohorts(rows: list[ScoreRow], column: str) -> dict[str, str]:

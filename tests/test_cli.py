@@ -115,6 +115,32 @@ class TestOptimizeCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("edit, section", [
+        (lambda cfg: cfg["backend"].update(clips=3), "backend.clips"),
+        (lambda cfg: cfg["backend"].update(model=[]), "backend.model"),
+        (lambda cfg: cfg.update(backend=[]), "backend"),
+        (lambda cfg: cfg.update(optimizer=5), "optimizer"),
+    ], ids=["clips", "model", "backend", "optimizer"])
+    def test_config_section_not_an_object_exits_1(self, tmp_path, capsys, edit, section):
+        cfg = json.loads((DATA / "backend_synthetic.json").read_text())
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run("--out", tmp_path, "optimize", "meadow", "--config", cfg_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {section}: ")
+
+    def test_config_not_an_object_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[]")
+        code = run("--out", tmp_path, "optimize", "meadow", "--config", cfg_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg_path}: ")
+
     def test_python_m_runs_the_cli(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -237,6 +263,28 @@ class TestScoresCommand:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_score_exits_1_naming_the_line(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            f"subject_id,pvs_id,score\ns1,a,12\ns1,b,{value}\ns2,a,40\ns2,b,50\ns3,b,60\n"
+        )
+        code = run("--out", tmp_path, "scores", bad)
+        assert code == 1
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("qp", ["27.0", "n/a"])
+    def test_free_form_metadata_columns_accepted(self, tmp_path, qp):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "subject_id,pvs_id,score,clip,qp,variant,role\n"
+            f"s1,a,12,meadow,{qp},default,dist\ns1,b,30,meadow,,,src\n"
+            f"s2,a,40,meadow,{qp},default,dist\ns2,b,50,meadow,,,src\n"
+        )
+        code = run("--out", tmp_path, "scores", path)
+        assert code == 0
+        assert [r["pvs_id"] for r in read_rows(tmp_path / "mos.csv")] == ["a", "b"]
+
     def test_dmos_from_recovered_psi(self, tmp_path):
         code = run(
             "--out", tmp_path, "scores", DATA / "scores.csv",
@@ -315,6 +363,33 @@ class TestCorrelateCommand:
             assert code == 1
             assert "psnr_y_db" in capsys.readouterr().err
             assert not (tmp_path / mode / "correlations.csv").exists()
+
+    @pytest.mark.parametrize("which, row, column", [
+        ("metrics", "p3,1.5\n", "m2"),
+        ("metrics", "p3,1.5,abc\n", "m2"),
+        ("subjective", "p3\n", "subjective"),
+        ("subjective", "p3,high\n", "subjective"),
+        ("subjective", "p3,nan\n", "subjective"),
+    ], ids=["metrics-short", "metrics-text", "subjective-short", "subjective-text",
+            "subjective-nan"])
+    def test_bad_cell_exits_1_naming_file_and_column(self, tmp_path, capsys,
+                                                    which, row, column):
+        lines = {
+            "metrics": ["pvs_id,m1,m2\n"]
+            + [f"p{i},{i + 1.0},{2 * i + 1.0}\n" for i in range(8)],
+            "subjective": ["pvs_id,subjective\n"] + [f"p{i},{10.0 * i + 5}\n" for i in range(8)],
+        }
+        lines[which][4] = row  # p3
+        paths = {name: tmp_path / f"{name}.csv" for name in lines}
+        for name, text in lines.items():
+            paths[name].write_text("".join(text))
+        code = run("--out", tmp_path, "correlate", paths["metrics"], paths["subjective"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {paths[which]}: ")
+        assert f"column {column}" in err
+
 
 class TestReportCommand:
     def test_svg_structure(self, tmp_path):

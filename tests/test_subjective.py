@@ -50,6 +50,11 @@ class TestScoreMatrix:
         assert sub.subjects == ("s00", "s02")
         assert sub.scores.shape == (2, 2)
 
+    def test_subset_subjects_takes_any_iterable(self):
+        m = make_matrix([[50.0, 60.0], [40.0, 50.0], [30.0, 20.0]])
+        sub = m.subset_subjects(s for s in ("s00", "s02"))
+        assert sub.subjects == ("s00", "s02")
+
 
 class TestComputeMos:
     def test_unanimous_scores(self):
@@ -217,6 +222,12 @@ class TestRecoverMle:
         diffs = np.diff(model.loglik_trace)
         assert np.all(diffs >= -1e-9 * max(1.0, abs(model.loglik)))
 
+    @pytest.mark.parametrize("fixed", [None, 3.0])
+    def test_iterations_count_every_sweep(self, fixed):
+        matrix, _, _, _ = simulate_biased_scores(21)
+        model = recover_mle(matrix, fixed_inconsistency=fixed)
+        assert model.iterations == len(model.loglik_trace)
+
     def test_constant_shift_moves_psi_only(self):
         matrix, _, _, _ = simulate_biased_scores(13, bias_half_range=5.0, nu_range=(1, 3))
         shifted = ScoreMatrix(
@@ -290,7 +301,6 @@ class TestCsvIngestion:
         assert matrix.subjects == ("s1", "s2")
         assert matrix.stimuli == ("src_a", "dist_a")
         assert matrix.scores[0, 1] == 70.0
-        assert matrix.roles["src_a"].role == "src"
         assert subject_cohorts(rows, "cohort") == {"s1": "expert", "s2": "naive"}
 
     def test_malformed_score_names_line(self, tmp_path):
@@ -298,6 +308,31 @@ class TestCsvIngestion:
         path.write_text("subject_id,pvs_id,score\ns1,a,90\ns1,b,oops\n")
         with pytest.raises(ValueError, match="line 3"):
             read_scores_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_names_line(self, tmp_path, value):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"subject_id,pvs_id,score\ns1,a,90\ns1,b,{value}\ns1,b,80\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_scores_csv(path)
+
+    def test_interleaved_rows_keep_first_appearance_order(self):
+        rows = [
+            ScoreRow("s2", "b", 10.0, {}),
+            ScoreRow("s1", "c", 20.0, {}),
+            ScoreRow("s2", "a", 30.0, {}),
+            ScoreRow("s3", "b", 40.0, {}),
+            ScoreRow("s1", "b", 50.0, {}),
+            ScoreRow("s3", "c", 60.0, {}),
+            ScoreRow("s3", "a", 70.0, {}),
+        ]
+        matrix = build_score_matrix(rows)
+        assert matrix.subjects == ("s2", "s1", "s3")
+        assert matrix.stimuli == ("b", "c", "a")
+        for r in rows:
+            i, j = matrix.subjects.index(r.subject_id), matrix.stimuli.index(r.pvs_id)
+            assert matrix.scores[i, j] == r.score
+        assert np.isnan(matrix.scores[1, 2])
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
