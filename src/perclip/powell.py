@@ -3,9 +3,14 @@
 Classic Powell scheme: line-minimize along each direction of a working set
 (initially the coordinate axes), then replace the direction of largest
 single-step decrease with the iteration's net displacement when the
-standard acceptance test passes. Line searches use Brent's bounded method
-(golden section with parabolic interpolation, Brent 1973) on the feasible
-segment, so no point is ever evaluated outside the box.
+standard acceptance test passes. The first search along a direction, a
+newly installed conjugate direction included, runs Brent's bounded method
+(golden section with parabolic interpolation, Brent 1973) over the whole
+feasible segment. Later searches along it start from the current point,
+which the first one left near the line's minimum: they step outward from
+it and stop at once when neither first step is better, or at a box bound
+that is still downhill (see _line_minimize). No point is ever evaluated
+outside the box.
 """
 
 from __future__ import annotations
@@ -42,10 +47,21 @@ def _feasible_interval(x, d, lower, upper) -> tuple[float, float]:
     return t_lo, t_hi
 
 
-def _line_minimize(f1d, t_lo: float, t_hi: float, f_at_zero: float, xtol: float):
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _line_minimize(f1d, t_lo: float, t_hi: float, f_at_zero: float, xtol: float,
+                   local: bool = False):
     """Minimize f1d on [t_lo, t_hi] knowing f1d(0); returns (t, f) best seen.
 
-    Never returns a point worse than t=0.
+    Without local, Brent's bounded method searches the whole segment. With
+    local, t=0 is taken to lie near the minimum already: when neither probe
+    at t = +-2*xtol is better than t=0 the search ends there; otherwise it
+    steps downhill, each step the golden ratio times the last, until the
+    cost rises, and Brent's bounded method searches between the points on
+    either side of the lowest one. A step that would leave the segment
+    evaluates the segment's end instead, and the search stops at the end
+    when it is still downhill. Never returns a point worse than t=0.
     """
     best_t, best_f = 0.0, f_at_zero
     if t_hi - t_lo <= xtol:
@@ -58,8 +74,39 @@ def _line_minimize(f1d, t_lo: float, t_hi: float, f_at_zero: float, xtol: float)
             best_t, best_f = t, ft
         return ft
 
-    minimize_scalar(probe, bounds=(t_lo, t_hi), method="bounded", options={"xatol": xtol})
+    bounds = (t_lo, t_hi)
+    if local:
+        bounds = _downhill_bracket(probe, t_lo, t_hi, f_at_zero, xtol)
+        if bounds is None:
+            return best_t, best_f
+    minimize_scalar(probe, bounds=bounds, method="bounded", options={"xatol": xtol})
     return best_t, best_f
+
+
+def _downhill_bracket(probe, t_lo: float, t_hi: float, f_at_zero: float, xtol: float):
+    """Step downhill from t=0 toward each end of [t_lo, t_hi] in turn, the
+    first step 2*xtol long; returns the bracket around the lowest step, or
+    None when t=0 or an end of the segment is the best point found."""
+    for end in (t_hi, t_lo):
+        if end == 0.0:
+            continue
+        step = math.copysign(2.0 * xtol, end)
+        a, b, fb = 0.0, 0.0, f_at_zero
+        while True:
+            c = b + step
+            at_end = abs(c) >= abs(end)
+            if at_end:
+                c = end
+            fc = probe(c)
+            if fc >= fb:
+                break
+            if at_end:
+                return None
+            a, b, fb = b, c, fc
+            step *= _GOLDEN
+        if b != 0.0:
+            return min(a, c), max(a, c)
+    return None
 
 
 def powell_box_minimize(
@@ -98,9 +145,14 @@ def powell_box_minimize(
         f_start = fx
         delta = 0.0
         i_big = 0
+        # Every direction in the set has been searched once by the end of
+        # the first iteration: a new conjugate direction is searched over its
+        # whole segment as it is installed, and the direction it displaces
+        # moves into the slot of one that was searched.
         for i, d in enumerate(dirs):
             t_lo, t_hi = _feasible_interval(x, d, lower, upper)
-            t, ft = _line_minimize(lambda t: call(x + t * d), t_lo, t_hi, fx, xtol)
+            t, ft = _line_minimize(lambda t: call(x + t * d), t_lo, t_hi, fx, xtol,
+                                   local=iterations > 1)
             if fx - ft > delta:
                 delta = fx - ft
                 i_big = i

@@ -120,15 +120,18 @@ class SubjectModel:
 def compute_mos(matrix: ScoreMatrix) -> MosTable:
     """Per-stimulus mean with a Student-t 95% confidence half-width."""
     entries: dict[str, MosEntry] = {}
+    t975: dict[int, float] = {}  # Student-t quantile by score count
     for j, pvs in enumerate(matrix.stimuli):
         col = matrix.scores[:, j]
         vals = col[np.isfinite(col)]
         n = int(vals.size)
         if n < 2:
             raise TooFewRaters(f"stimulus {pvs!r} has {n} score(s)")
+        if n not in t975:
+            t975[n] = student_t.ppf(0.975, n - 1)
         mos = float(vals.mean())
         s = float(vals.std(ddof=1))
-        ci = float(student_t.ppf(0.975, n - 1) * s / math.sqrt(n))
+        ci = float(t975[n] * s / math.sqrt(n))
         entries[pvs] = MosEntry(mos=mos, ci95=ci, n=n)
     return MosTable(entries=entries)
 
@@ -287,27 +290,33 @@ def read_scores_csv(path) -> list[ScoreRow]:
     """Read rows of subject_id,pvs_id,score plus optional metadata columns
     (clip, qp, variant, role, cohort...), kept as strings in ScoreRow.meta.
     Raises ValueError with the line number on malformed rows, including a
-    score that is not a finite number."""
+    score that is not a finite number. Blank lines are skipped and not
+    counted."""
+    required = ("subject_id", "pvs_id", "score")
     rows: list[ScoreRow] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"subject_id", "pvs_id", "score"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(required) <= set(header):
             raise ValueError(f"{path}: header must contain {sorted(required)}")
-        for lineno, rec in enumerate(reader, start=2):
+        # a repeated column name reads its last occurrence
+        columns = {name: i for i, name in enumerate(header)}
+        i_subject, i_pvs, i_score = (columns[name] for name in required)
+        optional = [(name, i) for name, i in columns.items() if name not in required]
+        width = len(header)
+        for lineno, rec in enumerate(filter(None, reader), start=2):
+            if len(rec) < width:
+                rec += [None] * (width - len(rec))
             try:
-                score = float(rec["score"])
+                score = float(rec[i_score])
             except (TypeError, ValueError):
                 score = math.nan
             if not math.isfinite(score):
-                raise ValueError(f"{path}: line {lineno}: bad score {rec.get('score')!r}")
-            if not (rec.get("subject_id") and rec.get("pvs_id")):
+                raise ValueError(f"{path}: line {lineno}: bad score {rec[i_score]!r}")
+            if not (rec[i_subject] and rec[i_pvs]):
                 raise ValueError(f"{path}: line {lineno}: empty subject_id or pvs_id")
-            meta = {
-                k: v for k, v in rec.items()
-                if k not in ("subject_id", "pvs_id", "score") and v not in (None, "")
-            }
-            rows.append(ScoreRow(rec["subject_id"], rec["pvs_id"], score, meta))
+            meta = {name: rec[i] for name, i in optional if rec[i]}
+            rows.append(ScoreRow(rec[i_subject], rec[i_pvs], score, meta))
     if not rows:
         raise ValueError(f"{path}: no score rows")
     return rows

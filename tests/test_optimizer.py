@@ -5,6 +5,8 @@ import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perclip import (
     EncodeCache,
@@ -16,7 +18,7 @@ from perclip import (
     evaluate_cost,
     optimize_clip,
 )
-from perclip.backends import EncodeRequest
+from perclip.backends import EncodeRequest, EncodeResult
 from perclip.errors import BackendFailure
 from perclip.optimizer import CachingEncoder
 
@@ -252,6 +254,45 @@ class TestOptimizeClip:
         assert abs(trace.best[1] - clamped) <= 0.01  # BD-rate pct-points
         assert len(trace.evaluations) <= 124
 
+    def test_optimum_beyond_box_lands_on_the_bound(self):
+        backend = SyntheticBackend(SyntheticModel(k_star=(4.5, 0.7)))
+        ks, _ = optimize_clip(backend, "clip")
+        assert ks.k1 == 4.0
+
+    def test_confirming_iteration_probes_each_direction_at_most_twice(self, backend):
+        _, trace = optimize_clip(backend, "clip")
+        assert not trace.hit_iteration_cap and trace.iterations > 1
+        # the run capped one iteration earlier is the same run up to there
+        _, capped = optimize_clip(
+            backend, "clip", OptimizationConfig(max_iters=trace.iterations - 1))
+        assert trace.evaluations[: len(capped.evaluations)] == capped.evaluations
+        assert len(trace.evaluations) - len(capped.evaluations) <= 2 * 2
+
+    def test_byte_rounded_rate_spends_few_encodes(self):
+        class ByteRounded(SyntheticBackend):
+            """Rate from a whole number of bytes over an 8 s clip, as a real
+            encoder's output size gives it."""
+
+            duration_s = 8.0
+
+            def encode(self, request):
+                res = super().encode(request)
+                size = int(res.rate * 1000.0 * self.duration_s / 8.0 + 0.5)
+                return EncodeResult(rate=8.0 * size / self.duration_s / 1000.0,
+                                    quality=res.quality)
+
+        # the cold ProcessBackend clip of the benchmark's tune workload, seed 1
+        model = SyntheticModel(r0=56317.749, k_star=(0.829938, 1.428032),
+                               gamma=0.858817, w1=0.341133, w2=0.546877)
+        backend = ByteRounded(model)
+        config = OptimizationConfig()
+        baseline = build_rd_curve(backend, "clip", LambdaMultipliers(1.0, 1.0), config.qps)
+        optimum = evaluate_cost(backend, "clip", LambdaMultipliers(*model.k_star),
+                                baseline, config)
+        _, trace = optimize_clip(backend, "clip", config)
+        assert trace.encode_count <= 150
+        assert abs(trace.best[1] - optimum) <= 0.01  # BD-rate pct-points
+
     def test_baseline_already_optimal(self):
         backend = SyntheticBackend(SyntheticModel(k_star=(1.0, 1.0)))
         ks, trace = optimize_clip(backend, "clip")
@@ -300,3 +341,23 @@ class TestOptimizeClip:
 
         with pytest.raises(BackendFailure):
             optimize_clip(Broken(), "clip")
+
+
+class TestOptimizeClipProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        k_star=st.tuples(st.floats(0.1, 6.0), st.floats(0.1, 6.0)),
+        lo=st.floats(0.1, 0.9),
+        hi=st.floats(1.1, 5.0),
+        start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_stays_in_box_never_worse_than_start_and_repeats(self, k_star, lo, hi, start):
+        x0 = tuple(min(hi, lo + s * (hi - lo)) for s in start)
+        config = OptimizationConfig(bounds=(lo, hi), x0=x0)
+        backend = SyntheticBackend(SyntheticModel(k_star=k_star))
+        _, trace = optimize_clip(backend, "clip", config)
+        for e in trace.evaluations:
+            assert lo <= e.ks.k1 <= hi and lo <= e.ks.k2 <= hi
+        assert trace.evaluations[0].ks == LambdaMultipliers(*x0)
+        assert trace.best[1] <= trace.evaluations[0].cost
+        assert optimize_clip(backend, "clip", config)[1] == trace

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perclip import OptimizationConfig, powell_minimize
-from perclip.powell import powell_box_minimize
+from perclip import LambdaMultipliers, OptimizationConfig, powell_minimize
+from perclip.powell import _line_minimize, powell_box_minimize
 
 
 def quadratic_bowl(x):
@@ -91,11 +93,79 @@ class TestPowellMinimize:
         )
         assert np.allclose(res.x, [0.2, 0.2], atol=1e-3)
 
+    def test_repeat_search_stops_on_the_bound(self):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return -t
+
+        t, ft = _line_minimize(f, -1.0, 0.5, 0.0, 1e-4, local=True)
+        assert (t, ft) == (0.5, -0.5)
+        assert seen[-1] == 0.5
+        assert len(seen) < 20  # golden-ratio steps, not golden-section creep
+
+    def test_repeat_search_without_downhill_probe_stops(self):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return (t - 1e-5) ** 2
+
+        assert _line_minimize(f, -1.0, 1.0, 1e-10, 1e-4, local=True) == (0.0, 1e-10)
+        assert seen == [2e-4, -2e-4]
+
+    def test_optimum_beyond_box_lands_on_the_bound(self):
+        res = powell_box_minimize(
+            lambda x: float((x[0] - 4.5) ** 2 + (x[1] - 0.7) ** 2),
+            x0=(1.0, 1.0),
+            lower=(0.2, 0.2),
+            upper=(4.0, 4.0),
+        )
+        assert res.x[0] == 4.0
+        assert res.x[1] == pytest.approx(0.7, abs=1e-4)
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             powell_box_minimize(quadratic_bowl, x0=(1, 1), lower=(2, 2), upper=(1, 1))
         with pytest.raises(ValueError):
             powell_box_minimize(quadratic_bowl, x0=(9, 9), lower=(0, 0), upper=(1, 1))
+
+
+@st.composite
+def box_problems(draw):
+    """Bounds straddling 1, a start inside them and a bowl whose centre may
+    lie outside them."""
+    lo = draw(st.floats(0.05, 0.95))
+    hi = draw(st.floats(1.05, 6.0))
+    x0 = tuple(draw(st.floats(lo, hi)) for _ in range(2))
+    centre = tuple(draw(st.floats(0.01, 7.0)) for _ in range(2))
+    weights = tuple(draw(st.floats(0.1, 10.0)) for _ in range(2))
+    return OptimizationConfig(bounds=(lo, hi), x0=x0), centre, weights
+
+
+class TestPowellProperties:
+    @staticmethod
+    def _bowl(centre, weights):
+        return lambda x: sum(w * (xi - c) ** 2 for xi, c, w in zip(x, centre, weights))
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=box_problems())
+    def test_stays_in_box_and_never_worse_than_start(self, problem):
+        config, centre, weights = problem
+        trace = powell_minimize(self._bowl(centre, weights), config)
+        lo, hi = config.bounds
+        for e in trace.evaluations:
+            assert lo <= e.ks.k1 <= hi and lo <= e.ks.k2 <= hi
+        assert trace.evaluations[0].ks == LambdaMultipliers(*config.x0)
+        assert trace.best[1] <= trace.evaluations[0].cost
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=box_problems())
+    def test_identical_runs_give_identical_traces(self, problem):
+        config, centre, weights = problem
+        f = self._bowl(centre, weights)
+        assert powell_minimize(f, config) == powell_minimize(f, config)
 
 
 class TestOptimizationConfig:
