@@ -296,17 +296,16 @@ def read_scores_csv(path) -> list[ScoreRow]:
     rows: list[ScoreRow] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not set(required) <= set(header):
+        header = next(reader, [])
+        if not set(required) <= set(header):
             raise ValueError(f"{path}: header must contain {sorted(required)}")
         # a repeated column name reads its last occurrence
         columns = {name: i for i, name in enumerate(header)}
         i_subject, i_pvs, i_score = (columns[name] for name in required)
         optional = [(name, i) for name, i in columns.items() if name not in required]
-        width = len(header)
         for lineno, rec in enumerate(filter(None, reader), start=2):
-            if len(rec) < width:
-                rec += [None] * (width - len(rec))
+            if len(rec) < len(header):
+                rec += [None] * (len(header) - len(rec))
             try:
                 score = float(rec[i_score])
             except (TypeError, ValueError):
