@@ -217,12 +217,16 @@ class ProcessBackend(EncoderBackend):
         except (OSError, json.JSONDecodeError) as exc:
             raise BackendFailure(f"unreadable stats file {stats}: {exc}") from exc
         key = self.stats_keys.get(request.metric_id, request.metric_id)
+        if not isinstance(doc, dict):
+            raise BackendFailure(f"stats file {stats} is not a JSON object with key {key!r}")
         if key not in doc:
             raise BackendFailure(f"stats file {stats} has no key {key!r}")
-        quality = float(doc[key])
-        if not (rate > 0 and math.isfinite(quality)):
-            raise BackendFailure(f"invalid encode result rate={rate} quality={quality}")
-        return EncodeResult(rate=rate, quality=quality,
+        quality = doc[key]
+        if type(quality) not in (int, float) or not math.isfinite(quality):
+            raise BackendFailure(f"stats file {stats}: {key!r} is {quality!r}, not a finite number")
+        if not rate > 0:
+            raise BackendFailure(f"invalid encode result rate={rate}")
+        return EncodeResult(rate=rate, quality=float(quality),
                             artifacts={"bitstream": str(out), "stats": str(stats)})
 
     def encode_many(self, requests) -> list[EncodeResult]:

@@ -6,11 +6,12 @@ exactly zero and any negative best cost is a real improvement. Encodes are
 memoized by (clip, settings, metric, qp, k1, k2) since the search revisits
 points.
 
-The search is perclip.powell's box search. Its first line search along each
-direction covers the whole feasible segment; later ones start from the
-current point and stop at a box bound that is still downhill. BD-rate
-searches resolve ks to K_RESOLUTION, while powell_minimize keeps the box
-search's own 1e-4.
+The search is perclip.powell's box search. Only its first iteration's line
+searches along k1 and k2 cover the whole feasible segment; every other one,
+a newly installed conjugate direction included, starts from the current
+point and stops at a box bound that is still downhill. BD-rate searches
+resolve ks to K_RESOLUTION, while powell_minimize keeps the box search's
+own 1e-4.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .backends import EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers, build_rd_curve
 from .bd import bd_rate
@@ -146,6 +145,8 @@ class EncodeCache:
     def load(self, path) -> None:
         with open(path) as fh:
             rows = json.load(fh)
+        if not isinstance(rows, list):
+            raise ValueError(f"{path}: cache file is not a JSON list of rows")
         entries = {}
         for row in rows:
             if not isinstance(row, list) or len(row) != 8:
@@ -221,19 +222,21 @@ def evaluate_cost(
         return math.inf
 
 
+def _ks(x) -> LambdaMultipliers:
+    return LambdaMultipliers(k1=float(x[0]), k2=float(x[1]))
+
+
 def _box_search(cost, config: OptimizationConfig, xtol: float,
                 enc: CachingEncoder | None = None) -> OptimizationTrace:
-    """Minimize cost(ks) over the (k1, k2) box of the config to xtol in each
-    k, recording every evaluation. With enc, an evaluation that issued no
-    encode is a cache hit and the trace counts enc's encodes."""
-    records: list[CostEvaluation] = []
+    """Minimize cost(x), x = [k1, k2], over the box of the config to xtol in
+    each k. With enc, an evaluation that issued no encode is a cache hit and
+    the trace counts enc's encodes."""
+    hits: list[bool] = []
 
     def wrapped(x) -> float:
-        ks = LambdaMultipliers(k1=float(x[0]), k2=float(x[1]))
         issued = enc.encodes_issued if enc else 0
-        value = cost(ks)
-        hit = enc is not None and enc.encodes_issued == issued
-        records.append(CostEvaluation(ks=ks, cost=value, cache_hit=hit))
+        value = cost(x)
+        hits.append(enc is not None and enc.encodes_issued == issued)
         return value
 
     k_min, k_max = config.bounds
@@ -246,10 +249,12 @@ def _box_search(cost, config: OptimizationConfig, xtol: float,
         max_iters=config.max_iters,
         xtol=xtol,
     )
-    best = min(records, key=lambda r: r.cost)
     return OptimizationTrace(
-        evaluations=tuple(records),
-        best=(best.ks, best.cost),
+        evaluations=tuple(
+            CostEvaluation(ks=_ks(x), cost=value, cache_hit=hit)
+            for (x, value), hit in zip(result.evaluations, hits)
+        ),
+        best=(_ks(result.x), result.fx),
         iterations=result.iterations,
         encode_count=enc.encodes_issued if enc else 0,
         hit_iteration_cap=not result.converged,
@@ -258,7 +263,7 @@ def _box_search(cost, config: OptimizationConfig, xtol: float,
 
 def powell_minimize(f, config: OptimizationConfig) -> OptimizationTrace:
     """Minimize an arbitrary cost f(x), x = [k1, k2], over the box of the config."""
-    return _box_search(lambda ks: float(f(np.array([ks.k1, ks.k2]))), config, xtol=1e-4)
+    return _box_search(f, config, xtol=1e-4)
 
 
 def optimize_clip(
@@ -283,7 +288,8 @@ def optimize_clip(
         settings=settings, metric_id=config.metric_id,
     )
 
-    def cost(ks: LambdaMultipliers) -> float:
+    def cost(x) -> float:
+        ks = _ks(x)
         try:
             return evaluate_cost(enc, clip, ks, baseline, config, settings=settings)
         except BackendFailure as exc:

@@ -3,14 +3,14 @@
 Classic Powell scheme: line-minimize along each direction of a working set
 (initially the coordinate axes), then replace the direction of largest
 single-step decrease with the iteration's net displacement when the
-standard acceptance test passes. The first search along a direction, a
-newly installed conjugate direction included, runs Brent's bounded method
-(golden section with parabolic interpolation, Brent 1973) over the whole
-feasible segment. Later searches along it start from the current point,
-which the first one left near the line's minimum: they step outward from
-it and stop at once when neither first step is better, or at a box bound
-that is still downhill (see _line_minimize). No point is ever evaluated
-outside the box.
+standard acceptance test passes. Only the first iteration's searches along
+the axes run Brent's bounded method (golden section with parabolic
+interpolation, Brent 1973) over the whole feasible segment. Every other
+search, a newly installed conjugate direction included, starts from the
+current point, which earlier searches left near the line's minimum: it
+steps outward from it and stops at once when neither first step is
+better, or at a box bound that is still downhill (see _line_minimize). No
+point is ever evaluated outside the box.
 """
 
 from __future__ import annotations
@@ -137,27 +137,24 @@ def powell_box_minimize(
 
     dirs = [np.eye(n)[i] for i in range(n)]
     fx = call(x)
+
+    def search(d: np.ndarray, local: bool) -> float:
+        """Line-minimize along d from x, move x to the best point found and
+        return the drop in fx."""
+        nonlocal x, fx
+        t_lo, t_hi = _feasible_interval(x, d, lower, upper)
+        t, ft = _line_minimize(lambda t: call(x + t * d), t_lo, t_hi, fx, xtol, local)
+        x = np.clip(x + t * d, lower, upper)
+        drop, fx = fx - ft, ft
+        return drop
+
     converged = False
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
         x_start = x.copy()
         f_start = fx
-        delta = 0.0
-        i_big = 0
-        # Every direction in the set has been searched once by the end of
-        # the first iteration: a new conjugate direction is searched over its
-        # whole segment as it is installed, and the direction it displaces
-        # moves into the slot of one that was searched.
-        for i, d in enumerate(dirs):
-            t_lo, t_hi = _feasible_interval(x, d, lower, upper)
-            t, ft = _line_minimize(lambda t: call(x + t * d), t_lo, t_hi, fx, xtol,
-                                   local=iterations > 1)
-            if fx - ft > delta:
-                delta = fx - ft
-                i_big = i
-            x = np.clip(x + t * d, lower, upper)
-            fx = ft
+        drops = [search(d, local=iterations > 1) for d in dirs]
         if 2.0 * abs(f_start - fx) <= ftol * (abs(f_start) + abs(fx) + 1e-12):
             converged = True
             break
@@ -171,18 +168,14 @@ def powell_box_minimize(
             continue
         f_e = call(x_e)
         if f_e < f_start:
+            i_big = int(np.argmax(drops))
+            delta = drops[i_big]
             t1 = 2.0 * (f_start - 2.0 * fx + f_e) * (f_start - fx - delta) ** 2
             t2 = delta * (f_start - f_e) ** 2
             if t1 < t2:
-                d_new = d_net / norm
                 dirs[i_big] = dirs[n - 1]
-                dirs[n - 1] = d_new
-                t_lo, t_hi = _feasible_interval(x, d_new, lower, upper)
-                t, ft = _line_minimize(
-                    lambda t: call(x + t * d_new), t_lo, t_hi, fx, xtol
-                )
-                x = np.clip(x + t * d_new, lower, upper)
-                fx = ft
+                dirs[n - 1] = d_net / norm
+                search(dirs[n - 1], local=True)
     best_x, best_f = min(evaluations, key=lambda e: e[1])
     return PowellResult(
         x=np.asarray(best_x),

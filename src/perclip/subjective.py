@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import t as student_t
@@ -278,8 +279,7 @@ def recover_mle(
     )
 
 
-@dataclass(frozen=True)
-class ScoreRow:
+class ScoreRow(NamedTuple):
     subject_id: str
     pvs_id: str
     score: float

@@ -238,6 +238,34 @@ class TestProcessBackend:
         with pytest.raises(BackendFailure, match="ms_ssim"):
             backend.encode(req(27, clip="c"))
 
+    @pytest.mark.parametrize("payload, message", [
+        (["ms_ssim"], "is not a JSON object"),
+        ({"ms_ssim": None}, "'ms_ssim' is None, not a finite number"),
+        ({"ms_ssim": "abc"}, "'ms_ssim' is 'abc', not a finite number"),
+        ({"ms_ssim": True}, "'ms_ssim' is True, not a finite number"),
+        ({"ms_ssim": "0.9"}, "'ms_ssim' is '0.9', not a finite number"),
+        ({"ms_ssim": [0.9]}, r"'ms_ssim' is \[0.9\], not a finite number"),
+    ])
+    def test_stats_value_must_be_a_number(self, tmp_path, payload, message):
+        enc = tmp_path / "enc.sh"
+        met = tmp_path / "met.sh"
+        write_script(enc, FAKE_ENCODER.format(size=1000))
+        write_script(met, FAKE_METRIC.format(payload=json.dumps(payload)))
+        backend = ProcessBackend(
+            encode_template=f"{enc} {{input}} {{output}} {{qp}} {{k1}} {{k2}}",
+            metric_template=f"{met} {{output}} {{stats}}",
+            clip_durations={"c": 5.0},
+            workdir=str(tmp_path),
+        )
+        with pytest.raises(BackendFailure, match=message) as info:
+            backend.encode(req(27, clip="c"))
+        assert ".stats.json" in str(info.value) and "ms_ssim" in str(info.value)
+
+    def test_integer_stats_value_is_quality(self, process_backend, tmp_path):
+        write_script(tmp_path / "fake_metric.sh", FAKE_METRIC.format(payload='{"ms_ssim": 18}'))
+        res = process_backend.encode(req(27, clip="clip.y4m"))
+        assert res.quality == 18.0 and type(res.quality) is float
+
     def test_no_output_file_is_failure(self, tmp_path):
         enc = tmp_path / "enc.sh"
         write_script(enc, "#!/bin/sh\nexit 0\n")

@@ -89,6 +89,16 @@ class TestOptimizeCommand:
         assert code == 1
         assert "7 fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [3, None, {"a": [1]}])
+    def test_cache_not_a_list_exits_1(self, tmp_path, capsys, doc):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps(doc))
+        code = run("--out", tmp_path, "optimize", "meadow",
+                   "--config", DATA / "backend_synthetic.json", "--cache", cache)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{cache}: cache file is not a JSON list" in err
 
     def test_cache_with_invalid_row_exits_1(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"

@@ -125,6 +125,19 @@ class TestPowellMinimize:
         assert res.x[0] == 4.0
         assert res.x[1] == pytest.approx(0.7, abs=1e-4)
 
+    def test_optimum_beyond_box_evaluates_no_point_twice(self):
+        # a new conjugate direction is searched from the current point, not
+        # over its whole segment again; points are told apart at 1e-6, the
+        # resolution of the encode cache's key
+        res = powell_box_minimize(
+            lambda x: float((x[0] - 4.5) ** 2 + (x[1] - 0.7) ** 2),
+            x0=(1.0, 1.0),
+            lower=(0.2, 0.2),
+            upper=(4.0, 4.0),
+        )
+        points = [tuple(round(v, 6) for v in pt) for pt, _ in res.evaluations]
+        assert len(set(points)) == len(points)
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             powell_box_minimize(quadratic_bowl, x0=(1, 1), lower=(2, 2), upper=(1, 1))
