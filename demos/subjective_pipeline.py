@@ -23,8 +23,8 @@ from perclip import (
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
-rows = read_scores_csv(DATA / "scores.csv")
-matrix = build_score_matrix(rows)
+table = read_scores_csv(DATA / "scores.csv")
+matrix = build_score_matrix(table)
 print(f"{len(matrix.subjects)} subjects x {len(matrix.stimuli)} stimuli")
 
 # Observer screening: count scores far outside each stimulus consensus.

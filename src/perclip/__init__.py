@@ -36,6 +36,7 @@ from .subjective import (
     MosEntry,
     MosTable,
     ScoreMatrix,
+    ScoreTable,
     ScreeningReport,
     SubjectModel,
     bt500_screen,

@@ -160,14 +160,14 @@ def cmd_scores(args) -> int:
     out = Path(args.out)
     if args.dmos_from == "recovered" and not args.recover:
         raise ValueError("--dmos-from recovered requires --recover")
-    rows = read_scores_csv(args.scores)
-    matrix = build_score_matrix(rows)
+    table = read_scores_csv(args.scores)
+    matrix = build_score_matrix(table)
     pairing = read_pairing_csv(args.pairing) if args.pairing else None
     outputs: list[Path] = []
 
     cohorts: dict[str, list[str]] = {"": list(matrix.subjects)}
     if args.cohort:
-        by_subject = subject_cohorts(rows, args.cohort)
+        by_subject = subject_cohorts(table, args.cohort)
         for subj, label in by_subject.items():
             cohorts.setdefault(label, []).append(subj)
 
@@ -254,11 +254,21 @@ def cmd_scores(args) -> int:
 
 
 def _read_table(path) -> tuple[list[str], list[dict]]:
+    """Header and rows of a CSV keyed by pvs_id; a repeated pvs_id is an
+    error naming the file and the id."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty CSV")
-        return list(reader.fieldnames), list(reader)
+        columns, rows = list(reader.fieldnames), list(reader)
+    if "pvs_id" not in columns:
+        raise ValueError("both CSVs need a pvs_id column")
+    seen: set[str] = set()
+    for r in rows:
+        if r["pvs_id"] in seen:
+            raise ValueError(f"{path}: duplicate pvs_id {r['pvs_id']!r}")
+        seen.add(r["pvs_id"])
+    return columns, rows
 
 
 def _floats(path, rows: list[dict], column: str) -> list[float]:
@@ -281,8 +291,6 @@ def cmd_correlate(args) -> int:
     out = Path(args.out)
     m_cols, m_rows = _read_table(args.metrics)
     s_cols, s_rows = _read_table(args.subjective)
-    if "pvs_id" not in m_cols or "pvs_id" not in s_cols:
-        raise ValueError("both CSVs need a pvs_id column")
     subj_col = next((c for c in ("subjective", "mos", "dmos") if c in s_cols), None)
     if subj_col is None:
         raise ValueError(f"{args.subjective}: no subjective/mos/dmos column")

@@ -5,6 +5,15 @@ inconsistency.
 Scores live in a subject x stimulus matrix on the [0, 100] continuous
 scale, with NaN marking missing entries. Every estimator sums over present
 entries only; nothing is imputed.
+
+Ingestion is columnar and builds no Python object per row: one csv.reader
+pass appends the subject, stimulus and raw score cells to one list each
+(optional columns to one list each, when the header has them), the scores
+convert in one np.fromiter call and are validated by one vectorised range
+check. Only when that check fails are the rows walked again, to name the
+first offending line. build_score_matrix maps ids to indices in bulk,
+finds repeated (subject, stimulus) pairs with np.unique and fills the
+matrix with one scatter.
 """
 
 from __future__ import annotations
@@ -122,18 +131,20 @@ def compute_mos(matrix: ScoreMatrix) -> MosTable:
     """Per-stimulus mean with a Student-t 95% confidence half-width."""
     entries: dict[str, MosEntry] = {}
     t975: dict[int, float] = {}  # Student-t quantile by score count
-    for j, pvs in enumerate(matrix.stimuli):
-        col = matrix.scores[:, j]
-        vals = col[np.isfinite(col)]
+    # the ufunc calls np.mean and np.std(ddof=1) make, without their
+    # wrappers: the results are bitwise the same
+    for pvs, col, present in zip(matrix.stimuli, matrix.scores.T, matrix.present.T):
+        vals = col[present]
         n = int(vals.size)
         if n < 2:
             raise TooFewRaters(f"stimulus {pvs!r} has {n} score(s)")
         if n not in t975:
             t975[n] = student_t.ppf(0.975, n - 1)
-        mos = float(vals.mean())
-        s = float(vals.std(ddof=1))
+        mean = vals.sum() / n
+        d = vals - mean
+        s = math.sqrt((d * d).sum() / (n - 1))
         ci = float(t975[n] * s / math.sqrt(n))
-        entries[pvs] = MosEntry(mos=mos, ci95=ci, n=n)
+        entries[pvs] = MosEntry(mos=float(mean), ci95=ci, n=n)
     return MosTable(entries=entries)
 
 
@@ -279,21 +290,23 @@ def recover_mle(
     )
 
 
-class ScoreRow(NamedTuple):
-    subject_id: str
-    pvs_id: str
-    score: float
-    meta: dict
+class ScoreTable(NamedTuple):
+    """Score rows by column, in file order. meta maps each optional column
+    to one cell per row, None where the cell is empty or missing."""
+
+    subject_ids: list[str]
+    pvs_ids: list[str]
+    scores: np.ndarray
+    meta: dict[str, list[str | None]]
 
 
-def read_scores_csv(path) -> list[ScoreRow]:
+def read_scores_csv(path) -> ScoreTable:
     """Read rows of subject_id,pvs_id,score plus optional metadata columns
-    (clip, qp, variant, role, cohort...), kept as strings in ScoreRow.meta.
-    Raises ValueError with the line number on malformed rows, including a
-    score that is not a finite number. Blank lines are skipped and not
-    counted."""
+    (clip, qp, variant, role, cohort...), kept as strings in ScoreTable.meta.
+    Raises ValueError naming the first offending line on a score that is not
+    a finite number in [0, 100] or an empty subject_id or pvs_id. Blank lines
+    are skipped and not counted; short rows read as missing cells."""
     required = ("subject_id", "pvs_id", "score")
-    rows: list[ScoreRow] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -302,53 +315,94 @@ def read_scores_csv(path) -> list[ScoreRow]:
         # a repeated column name reads its last occurrence
         columns = {name: i for i, name in enumerate(header)}
         i_subject, i_pvs, i_score = (columns[name] for name in required)
-        optional = [(name, i) for name, i in columns.items() if name not in required]
-        for lineno, rec in enumerate(filter(None, reader), start=2):
-            if len(rec) < len(header):
-                rec += [None] * (len(header) - len(rec))
-            try:
-                score = float(rec[i_score])
-            except (TypeError, ValueError):
-                score = math.nan
-            if not math.isfinite(score):
-                raise ValueError(f"{path}: line {lineno}: bad score {rec[i_score]!r}")
-            if not (rec[i_subject] and rec[i_pvs]):
-                raise ValueError(f"{path}: line {lineno}: empty subject_id or pvs_id")
-            meta = {name: rec[i] for name, i in optional if rec[i]}
-            rows.append(ScoreRow(rec[i_subject], rec[i_pvs], score, meta))
-    if not rows:
+        width = len(header)
+        pad = [None] * width
+        subjects: list[str] = []
+        pvs: list[str] = []
+        raw: list[str] = []
+        meta = {name: [] for name in columns if name not in required}
+        extra = [(meta[name].append, columns[name]) for name in meta]
+        add_subject, add_pvs, add_raw = subjects.append, pvs.append, raw.append
+        for rec in filter(None, reader):
+            if len(rec) < width:
+                rec += pad[len(rec):]
+            add_subject(rec[i_subject])
+            add_pvs(rec[i_pvs])
+            add_raw(rec[i_score])
+            for add, i in extra:
+                add(rec[i])
+    if not raw:
         raise ValueError(f"{path}: no score rows")
-    return rows
+    try:
+        scores = np.fromiter(map(float, raw), float, len(raw))
+        ok = bool(scores.min() >= 0.0 and scores.max() <= 100.0)  # NaN fails both
+    except (TypeError, ValueError):
+        ok = False
+    if not (ok and all(subjects) and all(pvs)):
+        _raise_first_bad_line(path, subjects, pvs, raw)
+    meta = {name: [cell or None for cell in cells] for name, cells in meta.items()}
+    return ScoreTable(subjects, pvs, scores, meta)
 
 
-def build_score_matrix(rows: list[ScoreRow]) -> ScoreMatrix:
+def _raise_first_bad_line(path, subjects, pvs, raw) -> None:
+    """Walk the rows in file order and raise for the first offending one; on
+    a line with both a bad score and an empty id, the score is named."""
+    for lineno, (subject, pvs_id, cell) in enumerate(zip(subjects, pvs, raw), start=2):
+        try:
+            score = float(cell)
+        except (TypeError, ValueError):
+            score = math.nan
+        if not math.isfinite(score):
+            raise ValueError(f"{path}: line {lineno}: bad score {cell!r}")
+        if not 0.0 <= score <= 100.0:
+            raise ValueError(f"{path}: line {lineno}: score {cell!r} outside [0, 100]")
+        if not (subject and pvs_id):
+            raise ValueError(f"{path}: line {lineno}: empty subject_id or pvs_id")
+    raise AssertionError("no offending line found")
+
+
+def build_score_matrix(table: ScoreTable) -> ScoreMatrix:
     """Subjects and stimuli in order of first appearance; one score per pair."""
-    s_idx = {s: i for i, s in enumerate(dict.fromkeys(r.subject_id for r in rows))}
-    e_idx = {e: j for j, e in enumerate(dict.fromkeys(r.pvs_id for r in rows))}
-    scores = np.full((len(s_idx), len(e_idx)), np.nan)
-    for r in rows:
-        i, j = s_idx[r.subject_id], e_idx[r.pvs_id]
-        if not math.isnan(scores[i, j]):
-            raise ValueError(f"duplicate score for ({r.subject_id}, {r.pvs_id})")
-        scores[i, j] = r.score
-    return ScoreMatrix(subjects=tuple(s_idx), stimuli=tuple(e_idx), scores=scores)
+    s_idx = {s: i for i, s in enumerate(dict.fromkeys(table.subject_ids))}
+    e_idx = {e: j for j, e in enumerate(dict.fromkeys(table.pvs_ids))}
+    n = len(table.subject_ids)
+    rows = np.fromiter(map(s_idx.__getitem__, table.subject_ids), np.intp, n)
+    cols = np.fromiter(map(e_idx.__getitem__, table.pvs_ids), np.intp, n)
+    flat = rows * len(e_idx) + cols
+    _, first = np.unique(flat, return_index=True)
+    if first.size < n:
+        repeat = np.ones(n, dtype=bool)
+        repeat[first] = False
+        k = int(np.argmax(repeat))  # the first row whose pair came before
+        raise ValueError(
+            f"duplicate score for ({table.subject_ids[k]}, {table.pvs_ids[k]})"
+        )
+    scores = np.full(len(s_idx) * len(e_idx), np.nan)
+    scores[flat] = table.scores
+    return ScoreMatrix(
+        subjects=tuple(s_idx),
+        stimuli=tuple(e_idx),
+        scores=scores.reshape(len(s_idx), len(e_idx)),
+    )
 
 
-def subject_cohorts(rows: list[ScoreRow], column: str) -> dict[str, str]:
+def subject_cohorts(table: ScoreTable, column: str) -> dict[str, str]:
     """Map each subject to its value of a metadata column (e.g. a cohort
-    label). Conflicting values for one subject raise ValueError."""
+    label). A row without a value, or conflicting values for one subject,
+    raise ValueError."""
     out: dict[str, str] = {}
-    for r in rows:
-        value = r.meta.get(column)
+    values = table.meta.get(column) or [None] * len(table.subject_ids)
+    for subject, value in zip(table.subject_ids, values):
         if value is None:
-            raise ValueError(f"row for {r.subject_id!r} lacks column {column!r}")
-        if out.setdefault(r.subject_id, value) != value:
-            raise ValueError(f"subject {r.subject_id!r} has conflicting {column!r} values")
+            raise ValueError(f"row for {subject!r} lacks column {column!r}")
+        if out.setdefault(subject, value) != value:
+            raise ValueError(f"subject {subject!r} has conflicting {column!r} values")
     return out
 
 
 def read_pairing_csv(path) -> dict[str, str]:
-    """Read dist_pvs_id,src_pvs_id rows into a pairing map."""
+    """Read dist_pvs_id,src_pvs_id rows into a pairing map; each distorted
+    stimulus is paired once."""
     pairing: dict[str, str] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -359,5 +413,7 @@ def read_pairing_csv(path) -> dict[str, str]:
             dist, src = rec.get("dist_pvs_id"), rec.get("src_pvs_id")
             if not dist or not src:
                 raise ValueError(f"{path}: line {lineno}: empty pairing entry")
+            if dist in pairing:
+                raise ValueError(f"{path}: line {lineno}: duplicate dist_pvs_id {dist!r}")
             pairing[dist] = src
     return pairing

@@ -283,6 +283,43 @@ class TestScoresCommand:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["101", "-0.5"])
+    def test_out_of_range_score_exits_1_naming_file_line_and_value(self, tmp_path, capsys,
+                                                                   value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            f"subject_id,pvs_id,score\ns1,a,12\n\ns1,b,{value}\ns2,a,40\ns2,b,50\n"
+        )
+        code = run("--out", tmp_path, "scores", bad)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 3: score {value!r} outside [0, 100]\n"
+
+    def test_repeated_pairing_exits_1_naming_file_and_line(self, tmp_path, capsys):
+        pairing = tmp_path / "pairing.csv"
+        pairing.write_text(
+            (DATA / "pairing.csv").read_text() + "meadow_default_qp59,lanterns_src\n"
+        )
+        code = run("--out", tmp_path, "scores", DATA / "scores.csv", "--pairing", pairing)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {pairing}: line 26: duplicate dist_pvs_id "
+                       "'meadow_default_qp59'\n")
+        assert not (tmp_path / "dmos.csv").exists()
+
+    def test_shipped_data_matches_golden_outputs(self, tmp_path):
+        code = run(
+            "--out", tmp_path, "scores", DATA / "scores.csv",
+            "--pairing", DATA / "pairing.csv", "--screen", "--recover", "p913",
+            "--cohort", "cohort", "--dmos-from", "recovered",
+        )
+        assert code == 0
+        golden = ROOT / "tests" / "golden" / "scores"
+        written = sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
+        assert written == sorted(p.name for p in golden.iterdir())
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
     @pytest.mark.parametrize("qp", ["27.0", "n/a"])
     def test_free_form_metadata_columns_accepted(self, tmp_path, qp):
         path = tmp_path / "scores.csv"
@@ -357,6 +394,20 @@ class TestCorrelateCommand:
         assert float(row["srocc"]) == 1.0
         assert float(row["krcc"]) == 1.0
 
+
+    @pytest.mark.parametrize("which", ["metrics", "subjective"])
+    def test_duplicate_pvs_id_exits_1_naming_file_and_id(self, tmp_path, capsys, which):
+        paths = {"metrics": DATA / "metrics.csv", "subjective": DATA / "subjective.csv"}
+        lines = paths[which].read_text().splitlines(keepends=True)
+        repeat = lines[3].split(",")[0]
+        lines.append(repeat + "," + ",".join(["50"] * (len(lines[0].split(",")) - 1)) + "\n")
+        paths[which] = tmp_path / f"{which}.csv"
+        paths[which].write_text("".join(lines))
+        code = run("--out", tmp_path, "correlate", paths["metrics"], paths["subjective"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[which]}: duplicate pvs_id {repeat!r}\n"
+        assert not (tmp_path / "correlations.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_metric_exits_1_naming_the_column(self, tmp_path, capsys, value):

@@ -1,11 +1,19 @@
 """Tests for opinion-score statistics, screening, and bias recovery."""
 
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import t as student_t
 
 from perclip import (
+    MosEntry,
     ScoreMatrix,
     bt500_screen,
     build_score_matrix,
@@ -16,7 +24,7 @@ from perclip import (
     recover_mle,
 )
 from perclip.errors import MissingPair, TooFewRaters
-from perclip.subjective import ScoreRow, subject_cohorts
+from perclip.subjective import ScoreTable, subject_cohorts
 
 from conftest import (
     make_matrix,
@@ -24,6 +32,195 @@ from conftest import (
     simulate_clean_panel,
     simulate_screening_panel,
 )
+
+
+
+def score_table(rows, **meta) -> ScoreTable:
+    """A ScoreTable from (subject_id, pvs_id, score) rows and per-row
+    optional columns."""
+    subjects, pvs, scores = zip(*rows)
+    return ScoreTable(list(subjects), list(pvs), np.array(scores, dtype=float), meta)
+
+
+# The row-by-row ingestion and MOS that the columnar path replaced, kept as
+# its reference. One row is (subject_id, pvs_id, score, meta dict).
+
+def rowwise_read_scores_csv(path) -> list[tuple]:
+    required = ("subject_id", "pvs_id", "score")
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(required) <= set(header):
+            raise ValueError(f"{path}: header must contain {sorted(required)}")
+        columns = {name: i for i, name in enumerate(header)}
+        i_subject, i_pvs, i_score = (columns[name] for name in required)
+        optional = [(name, i) for name, i in columns.items() if name not in required]
+        for lineno, rec in enumerate(filter(None, reader), start=2):
+            if len(rec) < len(header):
+                rec += [None] * (len(header) - len(rec))
+            try:
+                score = float(rec[i_score])
+            except (TypeError, ValueError):
+                score = math.nan
+            if not math.isfinite(score):
+                raise ValueError(f"{path}: line {lineno}: bad score {rec[i_score]!r}")
+            if not 0.0 <= score <= 100.0:
+                raise ValueError(
+                    f"{path}: line {lineno}: score {rec[i_score]!r} outside [0, 100]"
+                )
+            if not (rec[i_subject] and rec[i_pvs]):
+                raise ValueError(f"{path}: line {lineno}: empty subject_id or pvs_id")
+            meta = {name: rec[i] for name, i in optional if rec[i]}
+            rows.append((rec[i_subject], rec[i_pvs], score, meta))
+    if not rows:
+        raise ValueError(f"{path}: no score rows")
+    return rows
+
+
+def rowwise_build_score_matrix(rows) -> ScoreMatrix:
+    s_idx = {s: i for i, s in enumerate(dict.fromkeys(r[0] for r in rows))}
+    e_idx = {e: j for j, e in enumerate(dict.fromkeys(r[1] for r in rows))}
+    scores = np.full((len(s_idx), len(e_idx)), np.nan)
+    for subject_id, pvs_id, score, _ in rows:
+        i, j = s_idx[subject_id], e_idx[pvs_id]
+        if not math.isnan(scores[i, j]):
+            raise ValueError(f"duplicate score for ({subject_id}, {pvs_id})")
+        scores[i, j] = score
+    return ScoreMatrix(subjects=tuple(s_idx), stimuli=tuple(e_idx), scores=scores)
+
+
+def rowwise_subject_cohorts(rows, column) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for subject_id, _, _, meta in rows:
+        value = meta.get(column)
+        if value is None:
+            raise ValueError(f"row for {subject_id!r} lacks column {column!r}")
+        if out.setdefault(subject_id, value) != value:
+            raise ValueError(f"subject {subject_id!r} has conflicting {column!r} values")
+    return out
+
+
+def rowwise_compute_mos(matrix) -> dict[str, MosEntry]:
+    entries = {}
+    for j, pvs in enumerate(matrix.stimuli):
+        col = matrix.scores[:, j]
+        vals = col[np.isfinite(col)]
+        n = int(vals.size)
+        ci = float(student_t.ppf(0.975, n - 1) * float(vals.std(ddof=1)) / math.sqrt(n))
+        entries[pvs] = MosEntry(mos=float(vals.mean()), ci95=ci, n=n)
+    return entries
+
+
+LINE_DEFECTS = ("text", "nan", "inf", "empty_score", "above", "below", "empty_subject",
+                "empty_pvs", "score_and_id")
+DEFECTS = (*LINE_DEFECTS, "duplicate", "conflicting_cohort", "no_cohort")
+
+
+@st.composite
+def score_panels(draw):
+    """CSV text of a random panel: missing cells, shuffled columns, cohort and
+    free-text columns, empty and short trailing cells, blank lines, and at
+    most one defect. Returns the text and the defect's name."""
+    n_subjects, n_stimuli = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = [(f"s{i}", f"p{j}") for i in range(n_subjects) for j in range(n_stimuli)]
+    mostly_present = st.sampled_from([True, True, True, False])
+    keep = draw(st.lists(mostly_present, min_size=len(cells), max_size=len(cells)))
+    pairs = draw(st.permutations([c for c, k in zip(cells, keep) if k] or cells[:1]))
+    score_text = st.one_of(st.integers(0, 100).map(str),
+                           st.floats(0.0, 100.0).map(repr),
+                           st.floats(0.0, 100.0).map(lambda v: f"{v:.2f}"))
+    cohort = {f"s{i}": draw(st.sampled_from(["expert", "naive"])) for i in range(n_subjects)}
+    defect = draw(st.one_of(st.none(), st.sampled_from(DEFECTS)))
+    columns = ["subject_id", "pvs_id", "score"]
+    if defect != "no_cohort":
+        columns.append("cohort")
+    extras = draw(st.lists(st.sampled_from(["clip", "qp"]), unique=True))
+    header = draw(st.permutations(columns)) + extras
+    rows = []
+    for subject, pvs in pairs:
+        row = {"subject_id": subject, "pvs_id": pvs, "score": draw(score_text),
+               "cohort": cohort[subject], "clip": f"c{pvs}",
+               "qp": draw(st.sampled_from(["", "27", "n/a"]))}
+        rows.append(row)
+    if defect is not None:
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        if defect == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), dict(row, score="50"))
+        elif defect == "conflicting_cohort":
+            rows.insert(draw(st.integers(0, len(rows))),
+                        dict(row, pvs_id="extra", cohort="other"))
+        elif defect in ("empty_subject", "empty_pvs"):
+            row["pvs_id" if defect == "empty_pvs" else "subject_id"] = ""
+        elif defect == "score_and_id":
+            row.update(score=draw(st.sampled_from(["oops", "101"])), subject_id="")
+        elif defect != "no_cohort":
+            row["score"] = {"text": "oops", "nan": "nan", "inf": "-inf", "empty_score": "",
+                            "above": "100.5", "below": "-1"}[defect]
+    lines = []
+    for row in rows:
+        cut = draw(st.integers(0, len(extras)))  # short row: trailing cells absent
+        lines.append([row[name] for name in header][:len(header) - cut])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), [])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for line in lines:
+        if line:
+            writer.writerow(line)
+        else:
+            buf.write("\n")
+    return buf.getvalue(), defect
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the error it raised."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, TooFewRaters) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestColumnarIngestionMatchesRowwise:
+    @settings(max_examples=300, deadline=None)
+    @given(panel=score_panels())
+    def test_same_matrix_order_mos_cohorts_and_errors(self, panel):
+        text, defect = panel
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "scores.csv"
+            path.write_text(text)
+            got_table = outcome(read_scores_csv, path)
+            want_rows = outcome(rowwise_read_scores_csv, path)
+        assert (got_table[0] == "ok") == (defect not in LINE_DEFECTS)
+        assert got_table[0] == want_rows[0]
+        if got_table[0] != "ok":
+            assert got_table == want_rows
+            return
+        table, rows = got_table[1], want_rows[1]
+        n = len(rows)
+        assert table.subject_ids == [r[0] for r in rows]
+        assert table.pvs_ids == [r[1] for r in rows]
+        assert table.scores.tobytes() == np.array([r[2] for r in rows]).tobytes()
+        for k, (_, _, _, meta) in enumerate(rows):
+            assert {name: cells[k] for name, cells in table.meta.items()
+                    if cells[k] is not None} == meta
+        assert all(len(cells) == n for cells in table.meta.values())
+        assert (outcome(subject_cohorts, table, "cohort")
+                == outcome(rowwise_subject_cohorts, rows, "cohort"))
+
+        got, want = outcome(build_score_matrix, table), outcome(rowwise_build_score_matrix, rows)
+        if defect == "duplicate":
+            assert got[1].startswith("duplicate score for")
+        if got[0] != "ok":
+            assert got == want
+            return
+        assert want[0] == "ok"
+        got, want = got[1], want[1]
+        assert (got.subjects, got.stimuli) == (want.subjects, want.stimuli)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert compute_mos(got).entries == rowwise_compute_mos(want)
 
 
 class TestScoreMatrix:
@@ -316,22 +513,48 @@ class TestCsvIngestion:
         with pytest.raises(ValueError, match="line 3"):
             read_scores_csv(path)
 
+    @pytest.mark.parametrize("value", ["101", "-1", "100.000001"])
+    def test_out_of_range_score_names_line_and_value(self, tmp_path, value):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"subject_id,pvs_id,score\ns1,a,100\ns1,b,{value}\ns2,b,0\n")
+        with pytest.raises(ValueError, match=rf"line 3: score '{value}' outside \[0, 100\]"):
+            read_scores_csv(path)
+
+    @pytest.mark.parametrize("score, message", [
+        ("oops", "line 3: bad score 'oops'"),
+        ("101", r"line 3: score '101' outside \[0, 100\]"),
+    ])
+    def test_first_offending_line_wins_and_score_before_empty_id(self, tmp_path, score,
+                                                                 message):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"subject_id,pvs_id,score\n\ns1,a,90\n,b,{score}\ns1,\n")
+        with pytest.raises(ValueError, match=message):
+            read_scores_csv(path)
+
+    def test_short_row_and_empty_cells_read_as_missing(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("subject_id,pvs_id,score,qp,cohort\ns1,a,90,,x\ns2,a,80\n")
+        table = read_scores_csv(path)
+        assert table.meta == {"qp": [None, None], "cohort": ["x", None]}
+        with pytest.raises(ValueError, match="row for 's2' lacks column 'cohort'"):
+            subject_cohorts(table, "cohort")
+
     def test_interleaved_rows_keep_first_appearance_order(self):
         rows = [
-            ScoreRow("s2", "b", 10.0, {}),
-            ScoreRow("s1", "c", 20.0, {}),
-            ScoreRow("s2", "a", 30.0, {}),
-            ScoreRow("s3", "b", 40.0, {}),
-            ScoreRow("s1", "b", 50.0, {}),
-            ScoreRow("s3", "c", 60.0, {}),
-            ScoreRow("s3", "a", 70.0, {}),
+            ("s2", "b", 10.0),
+            ("s1", "c", 20.0),
+            ("s2", "a", 30.0),
+            ("s3", "b", 40.0),
+            ("s1", "b", 50.0),
+            ("s3", "c", 60.0),
+            ("s3", "a", 70.0),
         ]
-        matrix = build_score_matrix(rows)
+        matrix = build_score_matrix(score_table(rows))
         assert matrix.subjects == ("s2", "s1", "s3")
         assert matrix.stimuli == ("b", "c", "a")
-        for r in rows:
-            i, j = matrix.subjects.index(r.subject_id), matrix.stimuli.index(r.pvs_id)
-            assert matrix.scores[i, j] == r.score
+        for subject_id, pvs_id, score in rows:
+            i, j = matrix.subjects.index(subject_id), matrix.stimuli.index(pvs_id)
+            assert matrix.scores[i, j] == score
         assert np.isnan(matrix.scores[1, 2])
 
     def test_missing_header_rejected(self, tmp_path):
@@ -342,22 +565,34 @@ class TestCsvIngestion:
 
     def test_duplicate_entry_rejected(self, tmp_path):
         rows = [
-            ScoreRow("s1", "a", 90.0, {}),
-            ScoreRow("s1", "a", 91.0, {}),
-            ScoreRow("s2", "a", 80.0, {}),
+            ("s1", "a", 90.0),
+            ("s1", "a", 91.0),
+            ("s2", "a", 80.0),
         ]
         with pytest.raises(ValueError, match="duplicate"):
-            build_score_matrix(rows)
+            build_score_matrix(score_table(rows))
 
     def test_pairing_round_trip(self, tmp_path):
         path = tmp_path / "pairing.csv"
         path.write_text("dist_pvs_id,src_pvs_id\ndist_a,src_a\ndist_b,src_b\n")
         assert read_pairing_csv(path) == {"dist_a": "src_a", "dist_b": "src_b"}
 
+    def test_pairing_repeated_dist_rejected_naming_line(self, tmp_path):
+        path = tmp_path / "pairing.csv"
+        path.write_text("dist_pvs_id,src_pvs_id\ndist_a,src_a\ndist_b,src_b\ndist_a,src_b\n")
+        with pytest.raises(ValueError, match=r"pairing.csv: line 4: duplicate dist_pvs_id 'dist_a'"):
+            read_pairing_csv(path)
+
+    def test_duplicate_names_first_repeat_in_file_order(self):
+        rows = [("s1", "a", 1.0), ("s2", "b", 2.0), ("s2", "b", 3.0), ("s1", "a", 4.0)]
+        with pytest.raises(ValueError, match=r"duplicate score for \(s2, b\)"):
+            build_score_matrix(score_table(rows))
+
     def test_conflicting_cohort_rejected(self):
         rows = [
-            ScoreRow("s1", "a", 90.0, {"cohort": "expert"}),
-            ScoreRow("s1", "b", 80.0, {"cohort": "naive"}),
+            ("s1", "a", 90.0),
+            ("s1", "b", 80.0),
         ]
+        table = score_table(rows, cohort=["expert", "naive"])
         with pytest.raises(ValueError, match="conflicting"):
-            subject_cohorts(rows, "cohort")
+            subject_cohorts(table, "cohort")
