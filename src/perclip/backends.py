@@ -143,8 +143,10 @@ class ProcessBackend(EncoderBackend):
 
     encode_template placeholders: {input} {output} {qp} {k1} {k2} plus any
     keys of the selected settings profile. metric_template additionally gets
-    {stats}. Rate comes from the output container size over the clip
-    duration; quality from the metric stats JSON under the metric key.
+    {stats}. {input}, {output} and {stats} are shell-quoted, so a path with
+    spaces or quotes stays one argument. Rate comes from the output
+    container size over the clip duration; quality from the metric stats
+    JSON under the metric key.
     encode_many runs up to pool_size encodes at once on the backend's executor,
     whose idle threads exit once the backend is garbage-collected.
     """
@@ -196,21 +198,23 @@ class ProcessBackend(EncoderBackend):
         )
         out = Path(self.workdir) / f"{stem}.bin"
         stats = Path(self.workdir) / f"{stem}.stats.json"
+        duration = self._duration(request.clip)
+        # paths are quoted so each stays one argument; profile values are
+        # template text and go in as written
         fields = dict(
             profile,
-            input=request.clip,
-            output=str(out),
+            input=shlex.quote(request.clip),
+            output=shlex.quote(str(out)),
             qp=request.qp,
             k1=request.ks.k1,
             k2=request.ks.k2,
-            stats=str(stats),
+            stats=shlex.quote(str(stats)),
         )
         self._run(self.encode_template.format(**fields))
         if not out.exists():
             raise BackendFailure(f"encoder produced no output at {out}")
         self._run(self.metric_template.format(**fields))
-        size = out.stat().st_size
-        rate = 8.0 * size / self._duration(request.clip) / 1000.0
+        rate = 8.0 * out.stat().st_size / duration / 1000.0
         try:
             with open(stats) as fh:
                 doc = json.load(fh)
@@ -263,14 +267,20 @@ def json_object(section, name: str) -> dict:
     return section
 
 
+def known_keys(section, name: str, known) -> dict:
+    """section itself if it is a JSON object whose keys are all in known;
+    else a ValueError naming the section and the first unknown key."""
+    for key in json_object(section, name):
+        if key not in known:
+            raise ValueError(f"{name}: unknown key {key!r}; known: {', '.join(sorted(known))}")
+    return section
+
+
 def from_section(cls, section: dict, name: str):
     """Build dataclass cls from the config-file section called name: lists
     become tuples, and a key that is not a field of cls is a ValueError, as
     is a section that is not a JSON object."""
-    fields = {f.name for f in dataclasses.fields(cls)}
-    for key in json_object(section, name):
-        if key not in fields:
-            raise ValueError(f"{name}: unknown key {key!r}; known: {', '.join(sorted(fields))}")
+    known_keys(section, name, {f.name for f in dataclasses.fields(cls)})
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in section.items()})
     except TypeError as exc:  # a required key is missing or a value has the wrong type
@@ -280,11 +290,8 @@ def from_section(cls, section: dict, name: str):
 def backend_from_config(cfg: dict) -> EncoderBackend:
     """Build a backend from the parsed config file's "backend" section."""
     kind = json_object(cfg, "backend").get("kind")
-    params = {k: v for k, v in cfg.items() if k != "kind"}
     if kind == "synthetic":
-        unknown = sorted(params.keys() - {"model", "clips"})
-        if unknown:
-            raise ValueError(f"backend: unknown key {unknown[0]!r}; known: clips, kind, model")
+        known_keys(cfg, "backend", {"kind", "model", "clips"})
         return SyntheticBackend(
             model=from_section(SyntheticModel, cfg.get("model", {}), "backend.model"),
             per_clip={
@@ -293,5 +300,6 @@ def backend_from_config(cfg: dict) -> EncoderBackend:
             },
         )
     if kind == "process":
+        params = {k: v for k, v in cfg.items() if k != "kind"}
         return from_section(ProcessBackend, params, "backend")
     raise ValueError(f"unknown backend kind {kind!r}")

@@ -37,20 +37,20 @@ class SavingsResult:
     skipped: tuple[str, ...] = ()
 
 
-def _quality_to_lograte(curve: RdCurve):
-    # inverse fit; quality must be strictly increasing, which a cleaned
-    # curve normally is (exact quality ties raise NonAscendingAbscissae)
+def _inverse_fit(curve: RdCurve, transform=math.log10):
+    # quality -> transform(rate) fit; quality must be strictly increasing, which a
+    # cleaned curve normally is (exact quality ties raise NonAscendingAbscissae)
     pairs = sorted((p.quality, p.rate) for p in curve.points)
-    qs = [q for q, _ in pairs]
-    lx = [math.log10(r) for _, r in pairs]
-    return pchip_fit(qs, lx)
+    return pchip_fit([q for q, _ in pairs], [transform(r) for _, r in pairs])
 
 
-def _overlap(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+def _mean_gap(fr, ft) -> tuple[float, tuple[float, float]]:
+    # average of ft - fr over the common domain, and that domain
+    (a_lo, a_hi), (b_lo, b_hi) = fr.domain, ft.domain
     lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
     if not lo < hi:
         raise NoOverlap(f"no common interval: [{a_lo}, {a_hi}] vs [{b_lo}, {b_hi}]")
-    return lo, hi
+    return (ft.integrate(lo, hi) - fr.integrate(lo, hi)) / (hi - lo), (lo, hi)
 
 
 def bd_rate(ref: RdCurve, test: RdCurve, clean: bool = True) -> BdResult:
@@ -62,13 +62,10 @@ def bd_rate(ref: RdCurve, test: RdCurve, clean: bool = True) -> BdResult:
     if clean:
         ref = enforce_monotone(ref)
         test = enforce_monotone(test)
-    fr = _quality_to_lograte(ref)
-    ft = _quality_to_lograte(test)
-    lo, hi = _overlap(*fr.domain, *ft.domain)
-    d = (ft.integrate(lo, hi) - fr.integrate(lo, hi)) / (hi - lo)
+    d, overlap = _mean_gap(_inverse_fit(ref), _inverse_fit(test))
     return BdResult(
         value=(10.0 ** d - 1.0) * 100.0,
-        overlap=(lo, hi),
+        overlap=overlap,
         n_ref=len(ref.points),
         n_test=len(test.points),
     )
@@ -80,11 +77,11 @@ def bd_quality(ref: RdCurve, test: RdCurve) -> BdResult:
     Positive means the test curve is better. Computed on the curves as
     given, without monotone cleanup.
     """
-    fr = pchip_fit([math.log10(r) for r in ref.rates], ref.qualities)
-    ft = pchip_fit([math.log10(r) for r in test.rates], test.qualities)
-    lo, hi = _overlap(*fr.domain, *ft.domain)
-    d = (ft.integrate(lo, hi) - fr.integrate(lo, hi)) / (hi - lo)
-    return BdResult(value=d, overlap=(lo, hi), n_ref=len(ref.points), n_test=len(test.points))
+    d, overlap = _mean_gap(
+        pchip_fit([math.log10(r) for r in ref.rates], ref.qualities),
+        pchip_fit([math.log10(r) for r in test.rates], test.qualities),
+    )
+    return BdResult(value=d, overlap=overlap, n_ref=len(ref.points), n_test=len(test.points))
 
 
 def default_anchors(ref: RdCurve, qps=DEFAULT_ANCHOR_QPS) -> list[tuple[str, float]]:
@@ -108,10 +105,8 @@ def bitrate_savings(ref: RdCurve, test: RdCurve, anchors=None) -> SavingsResult:
     test_c = enforce_monotone(test)
     if anchors is None:
         anchors = default_anchors(ref_c)
-    pairs_r = sorted((p.quality, p.rate) for p in ref_c.points)
-    pairs_t = sorted((p.quality, p.rate) for p in test_c.points)
-    inv_r = pchip_fit([q for q, _ in pairs_r], [r for _, r in pairs_r])
-    inv_t = pchip_fit([q for q, _ in pairs_t], [r for _, r in pairs_t])
+    inv_r = _inverse_fit(ref_c, transform=float)
+    inv_t = _inverse_fit(test_c, transform=float)
     lo = max(inv_r.domain[0], inv_t.domain[0])
     hi = min(inv_r.domain[1], inv_t.domain[1])
 

@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backends import backend_from_config, from_section, json_object
+from .backends import backend_from_config, from_section, known_keys
 from .bd import bd_quality, bd_rate, bitrate_savings, default_anchors
 from .correlation import fit_logistic5, correlate
 from .curves import load_curve_file
@@ -79,7 +79,9 @@ def _now() -> str:
 def cmd_optimize(args) -> int:
     out = Path(args.out)
     with open(args.config) as fh:
-        cfg = json_object(json.load(fh), args.config)
+        cfg = known_keys(json.load(fh), args.config, {"backend", "optimizer"})
+    if "backend" not in cfg:
+        raise ValueError(f"{args.config}: missing section 'backend'")
     backend = backend_from_config(cfg["backend"])
     config = from_section(OptimizationConfig, cfg.get("optimizer", {}), "optimizer")
     cache = None

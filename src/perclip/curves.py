@@ -3,13 +3,15 @@
 A curve is an ordered set of (rate, quality) operating points for one clip
 and one quality metric. Interpolation uses the monotone piecewise cubic
 Hermite scheme (Fritsch-Carlson slopes), so monotone data never overshoots.
+An interpolant evaluates a number to a float and an array of any shape
+and order to an array of that shape; a point outside the knot range, NaN
+included, raises OutOfDomain.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +80,8 @@ def build_curve(points, metric_id: str) -> RdCurve:
     return RdCurve(points=pts, metric_id=metric_id)
 
 
-# Hermite basis antiderivatives evaluated at t, used for exact segment integrals.
+# Power-basis coefficients of one Hermite segment, for Horner evaluation
+# and exact integration.
 def _hermite_coeffs(y0: float, y1: float, a: float, b: float) -> tuple[float, float, float, float]:
     # cubic c0 + c1*t + c2*t^2 + c3*t^3 on the unit segment,
     # a = h*m0 and b = h*m1 are the scaled endpoint slopes
@@ -92,7 +95,8 @@ class PchipInterpolant:
 
     Knots are reproduced exactly; between knots the Fritsch-Carlson slope
     rule keeps the interpolant monotone wherever the data is monotone.
-    Evaluation outside [xs[0], xs[-1]] raises OutOfDomain (no extrapolation).
+    Evaluation outside [xs[0], xs[-1]], NaN included, raises OutOfDomain
+    (no extrapolation).
     """
 
     xs: tuple[float, ...]
@@ -101,86 +105,40 @@ class PchipInterpolant:
     _coeffs: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
-    _arrays: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        coeffs = []
-        for i in range(len(self.xs) - 1):
-            h = self.xs[i + 1] - self.xs[i]
-            coeffs.append(
-                _hermite_coeffs(
-                    self.ys[i], self.ys[i + 1], h * self.slopes[i], h * self.slopes[i + 1]
-                )
-            )
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        object.__setattr__(self, "_coeffs", tuple(
+            _hermite_coeffs(y0, y1, (x1 - x0) * m0, (x1 - x0) * m1)
+            for x0, x1, y0, y1, m0, m1 in zip(
+                self.xs, self.xs[1:], self.ys, self.ys[1:], self.slopes, self.slopes[1:])
+        ))
 
     @property
     def domain(self) -> tuple[float, float]:
         return self.xs[0], self.xs[-1]
 
     def __call__(self, x):
-        if isinstance(x, (int, float)):
-            return self._eval_scalar(float(x))
-        return self._eval_array(np.asarray(x, dtype=float))
-
-    def _segment(self, x: float) -> int:
-        i = bisect_right(self.xs, x) - 1
-        return min(max(i, 0), len(self.xs) - 2)
-
-    def _eval_scalar(self, x: float) -> float:
+        arr = np.asarray(x, dtype=float)
+        flat = arr.ravel()
         lo, hi = self.domain
-        if not (lo <= x <= hi):
-            raise OutOfDomain(f"x={x} outside [{lo}, {hi}]")
-        if x == hi:
-            return self.ys[-1]
-        i = self._segment(x)
-        c0, c1, c2, c3 = self._coeffs[i]
-        t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
-        return c0 + t * (c1 + t * (c2 + t * c3))
-
-    def _eval_array(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = self.domain
-        if x.size and (x.min() < lo or x.max() > hi):
-            raise OutOfDomain(f"values outside [{lo}, {hi}]")
-        if self._arrays is None:
-            c = np.asarray(self._coeffs)
-            object.__setattr__(
-                self,
-                "_arrays",
-                (np.asarray(self.xs), np.diff(np.asarray(self.xs)),
-                 c[:, 0].copy(), c[:, 1].copy(), c[:, 2].copy(), c[:, 3].copy()),
-            )
-        xs, h, c0, c1, c2, c3 = self._arrays
-        n_seg = len(self.xs) - 1
-        if x.ndim == 1 and x.size > 64 and np.all(x[1:] >= x[:-1]):
-            # sorted input: each segment owns one contiguous slice
-            out = np.empty_like(x)
-            cuts = np.searchsorted(x, xs[1:-1], side="left")
-            bounds = [0, *cuts.tolist(), x.size]
-            for i in range(n_seg):
-                sl = slice(bounds[i], bounds[i + 1])
-                t = (x[sl] - xs[i]) / h[i]
-                out[sl] = ((c3[i] * t + c2[i]) * t + c1[i]) * t + c0[i]
-        else:
-            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, n_seg - 1)
-            t = (x - xs[idx]) / h[idx]
-            out = c2[idx] + t * c3[idx]
-            out *= t
-            out += c1[idx]
-            out *= t
-            out += c0[idx]
-        out[x == hi] = self.ys[-1]
-        return out
-
-    def _segment_integral(self, i: int, t0: float, t1: float) -> float:
-        # exact integral of the cubic over [t0, t1] in local coordinates
-        c0, c1, c2, c3 = self._coeffs[i]
-        h = self.xs[i + 1] - self.xs[i]
-
-        def anti(t: float) -> float:
-            return t * (c0 + t * (c1 / 2.0 + t * (c2 / 3.0 + t * c3 / 4.0)))
-
-        return h * (anti(t1) - anti(t0))
+        if flat.size and not (lo <= flat.min() and flat.max() <= hi):
+            raise OutOfDomain(f"values outside [{lo}, {hi}]: min {flat.min()}, max {flat.max()}")
+        unsorted = np.any(flat[1:] < flat[:-1])
+        if unsorted:
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+        # sorted input: each segment owns one contiguous slice
+        cuts = [0, *np.searchsorted(flat, self.xs[1:-1]).tolist(), flat.size]
+        out = np.empty_like(flat)
+        for x0, x1, (c0, c1, c2, c3), i, j in zip(
+            self.xs, self.xs[1:], self._coeffs, cuts, cuts[1:]
+        ):
+            t = (flat[i:j] - x0) / (x1 - x0)
+            out[i:j] = ((c3 * t + c2) * t + c1) * t + c0
+        out[flat == hi] = self.ys[-1]
+        if unsorted:
+            out[order] = out.copy()
+        return out.reshape(arr.shape) if isinstance(x, np.ndarray) or arr.ndim else float(out[0])
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral of the interpolant over [a, b] (closed form)."""
@@ -189,15 +147,16 @@ class PchipInterpolant:
             raise OutOfDomain(f"integration bounds [{a}, {b}] outside [{lo}, {hi}]")
         if b < a:
             return -self.integrate(b, a)
-        ia, ib = self._segment(a), self._segment(b)
-        ta = (a - self.xs[ia]) / (self.xs[ia + 1] - self.xs[ia])
-        tb = (b - self.xs[ib]) / (self.xs[ib + 1] - self.xs[ib])
-        if ia == ib:
-            return self._segment_integral(ia, ta, tb)
-        total = self._segment_integral(ia, ta, 1.0)
-        for i in range(ia + 1, ib):
-            total += self._segment_integral(i, 0.0, 1.0)
-        total += self._segment_integral(ib, 0.0, tb)
+        total = 0.0
+        for x0, x1, (c0, c1, c2, c3) in zip(self.xs, self.xs[1:], self._coeffs):
+            t0, t1 = max(a, x0), min(b, x1)
+            if t0 < t1:
+                h = x1 - x0
+                u0, u1 = (t0 - x0) / h, (t1 - x0) / h
+                total += h * (
+                    u1 * (c0 + u1 * (c1 / 2.0 + u1 * (c2 / 3.0 + u1 * c3 / 4.0)))
+                    - u0 * (c0 + u0 * (c1 / 2.0 + u0 * (c2 / 3.0 + u0 * c3 / 4.0)))
+                )
         return total
 
 
@@ -291,7 +250,9 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
     """Read a curve file plus its optional annotations.
 
     Returns (curve, meta) where meta may carry "clip", "variant", and a
-    "ci95" list aligned with the curve's (rate-sorted) points.
+    "ci95" list aligned with the curve's (rate-sorted) points. "metric" and,
+    when given, "clip" and "variant" must be strings, and each ci95 finite
+    and >= 0; a violation is a ValueError naming the file.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -300,6 +261,10 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
         raw = doc["points"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a curve file: missing {exc}") from exc
+    for key in ("metric", "clip", "variant"):
+        value = doc.get(key)
+        if not isinstance(value, str) and (key == "metric" or value is not None):
+            raise ValueError(f"{path}: {key} must be a string, got {value!r}")
     try:
         raw = sorted(raw, key=lambda p: float(p["rate_kbps"]))
         points = [
@@ -311,15 +276,14 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
             )
             for p in raw
         ]
+        ci95 = [float(p["ci95"]) if p.get("ci95") is not None else 0.0 for p in raw]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed point entry: {exc}") from exc
+    for value in ci95:
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{path}: ci95 must be finite and >= 0, got {value!r}")
     curve = build_curve(points, metric)
-    meta = {
-        "clip": doc.get("clip"),
-        "variant": doc.get("variant"),
-        "ci95": [float(p["ci95"]) if p.get("ci95") is not None else 0.0 for p in raw],
-    }
-    return curve, meta
+    return curve, {"clip": doc.get("clip"), "variant": doc.get("variant"), "ci95": ci95}
 
 
 def write_curve_json(curve: RdCurve, path, clip: str | None = None,

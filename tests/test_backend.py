@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import stat
 import threading
 from pathlib import Path
@@ -296,9 +297,36 @@ class TestProcessBackend:
                 EncodeRequest(clip="clip.y4m", qp=27, ks=KS_DEFAULT, settings="turbo")
             )
 
-    def test_missing_duration(self, process_backend):
+    def test_missing_duration(self, process_backend, tmp_path):
         with pytest.raises(BackendFailure, match="duration"):
             process_backend.encode(req(27, clip="unknown.y4m"))
+        # found before the encoder runs, so no output was written
+        assert not list(tmp_path.glob("*.bin"))
+
+    @pytest.mark.parametrize("name", ["my clip.y4m", "it's.y4m", "a 'b' \"c\" $d.y4m"])
+    def test_paths_reach_the_tools_as_one_argument_each(self, tmp_path, name):
+        log = tmp_path / "argv.log"
+        # each tool logs its argument count, then one line per argument
+        record = f'#!/bin/sh\nprintf "%s\\n" "$#" "$@" >> {shlex.quote(str(log))}\n'
+        enc = tmp_path / "enc.sh"
+        write_script(enc, record + 'head -c 1000 /dev/zero > "$2"\n')
+        met = tmp_path / "met.sh"
+        write_script(met, record + 'echo \'{"ms_ssim": 18.4}\' > "$2"\n')
+        workdir = tmp_path / "work dir"
+        workdir.mkdir()
+        clip = str(tmp_path / name)
+        backend = ProcessBackend(
+            encode_template=f"{enc} {{input}} {{output}} {{qp}}",
+            metric_template=f"{met} {{output}} {{stats}}",
+            default_duration_s=1.0,
+            workdir=str(workdir),
+        )
+        res = backend.encode(req(27, clip=clip))
+        assert res.rate == pytest.approx(8.0)
+        bitstream, stats = res.artifacts["bitstream"], res.artifacts["stats"]
+        assert log.read_text().splitlines() == [
+            "3", clip, bitstream, "27", "2", bitstream, stats,
+        ]
 
     def test_same_stem_clips_keep_separate_outputs(self, tmp_path):
         met = tmp_path / "met.sh"

@@ -26,6 +26,41 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def assert_matches_golden(out: Path, name: str) -> None:
+    """Every file written to out, manifest.json aside, is byte for byte the
+    one under tests/golden/<name>, and nothing is missing or extra."""
+    golden = ROOT / "tests" / "golden" / name
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert written == sorted(p.name for p in golden.iterdir())
+    for file in written:
+        assert (out / file).read_bytes() == (golden / file).read_bytes(), file
+
+
+def write_curve_variant(path: Path, edit) -> Path:
+    """meadow's default curve file with edit applied to its parsed JSON."""
+    doc = json.loads((DATA / "curves" / "meadow__default.curve.json").read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# (edit of a shipped curve file, start of the error after the file name)
+BAD_CURVE_FILES = [
+    pytest.param(lambda doc: doc.update(metric=3),
+                 "metric must be a string, got 3", id="metric-int"),
+    pytest.param(lambda doc: doc.update(clip=["meadow"]),
+                 "clip must be a string, got ['meadow']", id="clip-list"),
+    pytest.param(lambda doc: doc.update(variant=7),
+                 "variant must be a string, got 7", id="variant-int"),
+    pytest.param(lambda doc: doc["points"][1].update(ci95="nan"),
+                 "ci95 must be finite and >= 0, got nan", id="ci95-nan"),
+    pytest.param(lambda doc: doc["points"][1].update(ci95=-2),
+                 "ci95 must be finite and >= 0, got -2.0", id="ci95-negative"),
+    pytest.param(lambda doc: doc["points"][1].update(ci95="wide"),
+                 "malformed point entry", id="ci95-text"),
+]
+
+
 class TestOptimizeCommand:
     def test_synthetic_run_improves_on_default(self, tmp_path):
         code = run(
@@ -142,6 +177,28 @@ class TestOptimizeCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {section}: ")
 
+    def test_shipped_config_matches_golden_outputs(self, tmp_path):
+        code = run("--out", tmp_path, "optimize", "meadow", "harbor", "lanterns",
+                   "--config", DATA / "backend_synthetic.json",
+                   "--cache", tmp_path / "cache.json")
+        assert code == 0
+        assert_matches_golden(tmp_path, "optimize")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(optimiser={"max_iters": 1}), "unknown key 'optimiser'"),
+        (lambda cfg: cfg.pop("backend"), "missing section 'backend'"),
+    ], ids=["unknown", "no-backend"])
+    def test_config_top_level_checked(self, tmp_path, capsys, edit, message):
+        cfg = json.loads((DATA / "backend_synthetic.json").read_text())
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run("--out", tmp_path, "optimize", "meadow", "--config", cfg_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg_path}: {message}")
+
     def test_config_not_an_object_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("[]")
@@ -202,6 +259,22 @@ class TestBdCommand:
         for key, value in row.items():
             if key.startswith("savings_"):
                 assert float(value) == pytest.approx(-10.0, abs=1e-6)
+
+    @pytest.mark.parametrize("clip", ["meadow", "harbor", "lanterns"])
+    def test_shipped_curves_match_golden_outputs(self, tmp_path, clip):
+        code = run("--out", tmp_path, "bd", DATA / "curves" / f"{clip}__default.curve.json",
+                   DATA / "curves" / f"{clip}__tuned.curve.json")
+        assert code == 0
+        assert_matches_golden(tmp_path, f"bd/{clip}")
+
+    @pytest.mark.parametrize("edit, message", BAD_CURVE_FILES)
+    def test_bad_curve_file_exits_1_naming_it(self, tmp_path, capsys, edit, message):
+        bad = write_curve_variant(tmp_path / "bad.json", edit)
+        code = run("--out", tmp_path, "bd", DATA / "curves" / "meadow__tuned.curve.json", bad)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {bad}: {message}")
 
     def test_disjoint_quality_ranges_exit_1(self, tmp_path, capsys):
         a = {"metric": "mos", "points": [
@@ -314,11 +387,7 @@ class TestScoresCommand:
             "--cohort", "cohort", "--dmos-from", "recovered",
         )
         assert code == 0
-        golden = ROOT / "tests" / "golden" / "scores"
-        written = sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
-        assert written == sorted(p.name for p in golden.iterdir())
-        for name in written:
-            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+        assert_matches_golden(tmp_path, "scores")
 
     @pytest.mark.parametrize("qp", ["27.0", "n/a"])
     def test_free_form_metadata_columns_accepted(self, tmp_path, qp):
@@ -467,6 +536,20 @@ class TestReportCommand:
             assert len(errorbars) == 2 * 4  # two variants, four points each
         summary = read_rows(tmp_path / "report_summary.csv")
         assert len(summary) == 6
+
+    def test_shipped_curves_match_golden_outputs(self, tmp_path):
+        code = run("--out", tmp_path, "report", *sorted((DATA / "curves").glob("*.curve.json")))
+        assert code == 0
+        assert_matches_golden(tmp_path, "report")
+
+    @pytest.mark.parametrize("edit, message", BAD_CURVE_FILES)
+    def test_bad_curve_file_exits_1_naming_it(self, tmp_path, capsys, edit, message):
+        bad = write_curve_variant(tmp_path / "bad.json", edit)
+        code = run("--out", tmp_path, "report", DATA / "curves" / "meadow__tuned.curve.json", bad)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {bad}: {message}")
 
     def test_empty_input_exits_1(self, tmp_path, capsys):
         code = run("--out", tmp_path, "report")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -134,6 +135,21 @@ class TestPchipEval:
         vals = [f(float(m)) for m in mids]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_nan_raises_in_every_input_form(self):
+        f = pchip_fit([1, 2, 3], [4, 5, 9])
+        for x in (math.nan, np.array(math.nan), np.array([1.5, math.nan]),
+                  np.array([[1.5], [math.nan]])):
+            with pytest.raises(OutOfDomain):
+                f(x)
+
+    def test_zero_dimensional_and_empty_arrays_keep_their_shape(self):
+        f = pchip_fit([1, 2, 3], [4, 5, 9])
+        out = f(np.array(1.5))
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert float(out) == f(1.5)
+        assert f(np.array(3.0)) == 9.0
+        assert f(np.empty((0, 3))).shape == (0, 3)
+
     def test_scalar_and_array_agree(self, rng):
         xs = np.sort(rng.uniform(0, 5, 5))
         ys = rng.uniform(0, 5, 5)
@@ -142,6 +158,91 @@ class TestPchipEval:
         arr = f(grid)
         for x, v in zip(grid, arr):
             assert f(float(x)) == pytest.approx(v, abs=1e-14)
+
+
+def horner_reference(f, x: float) -> float:
+    """Per-point reference evaluation: bisect for the segment, then Horner
+    in the local coordinate, with the power-basis coefficients rebuilt
+    from the knots and slopes."""
+    if x == f.xs[-1]:
+        return f.ys[-1]
+    i = min(max(bisect_right(f.xs, x) - 1, 0), len(f.xs) - 2)
+    h = f.xs[i + 1] - f.xs[i]
+    a, b, dy = h * f.slopes[i], h * f.slopes[i + 1], f.ys[i + 1] - f.ys[i]
+    c0, c1, c2, c3 = f.ys[i], a, 3.0 * dy - 2.0 * a - b, -2.0 * dy + a + b
+    t = (x - f.xs[i]) / h
+    return c0 + t * (c1 + t * (c2 + t * c3))
+
+
+def integral_reference(f, a: float, b: float) -> float:
+    """Reference closed-form integral: bisect for the end segments, then
+    the partial end pieces and the whole segments in between."""
+    if b < a:
+        return -integral_reference(f, b, a)
+
+    def seg(x):
+        return min(max(bisect_right(f.xs, x) - 1, 0), len(f.xs) - 2)
+
+    def piece(i, t0, t1):
+        h = f.xs[i + 1] - f.xs[i]
+        m0, m1, dy = h * f.slopes[i], h * f.slopes[i + 1], f.ys[i + 1] - f.ys[i]
+        c0, c1, c2, c3 = f.ys[i], m0, 3.0 * dy - 2.0 * m0 - m1, -2.0 * dy + m0 + m1
+
+        def anti(t):
+            return t * (c0 + t * (c1 / 2.0 + t * (c2 / 3.0 + t * c3 / 4.0)))
+
+        return h * (anti(t1) - anti(t0))
+
+    ia, ib = seg(a), seg(b)
+    ta = (a - f.xs[ia]) / (f.xs[ia + 1] - f.xs[ia])
+    tb = (b - f.xs[ib]) / (f.xs[ib + 1] - f.xs[ib])
+    if ia == ib:
+        return piece(ia, ta, tb)
+    total = piece(ia, ta, 1.0)
+    for i in range(ia + 1, ib):
+        total += piece(i, 0.0, 1.0)
+    return total + piece(ib, 0.0, tb)
+
+
+# knot gaps of at least 1e-3 keep the slopes finite
+interpolants = st.tuples(
+    st.floats(min_value=-100, max_value=100),
+    st.lists(st.floats(min_value=1e-3, max_value=50), min_size=1, max_size=7),
+    st.lists(st.floats(min_value=-100, max_value=100), min_size=8, max_size=8),
+).map(lambda k: pchip_fit(k[0] + np.cumsum([0.0, *k[1]]), k[2][: len(k[1]) + 1]))
+unit_points = st.lists(st.floats(min_value=0, max_value=1), max_size=150)
+
+
+class TestPchipEvaluationMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(f=interpolants, units=unit_points, seed=st.integers(0, 2**32 - 1))
+    def test_every_input_form_is_bitwise_the_reference(self, f, units, seed):
+        lo, hi = f.domain
+        xs = np.array([min(max(lo + u * (hi - lo), lo), hi) for u in units] + list(f.xs))
+        np.random.default_rng(seed).shuffle(xs)
+        want = np.array([horner_reference(f, float(x)) for x in xs])
+        assert np.array([f(float(x)) for x in xs]).tobytes() == want.tobytes()
+        assert f(xs).tobytes() == want.tobytes()
+        order = np.argsort(xs, kind="stable")
+        assert f(xs[order]).tobytes() == want[order].tobytes()
+        even = xs.size - xs.size % 2
+        grid = f(xs[:even].reshape(2, -1))
+        assert grid.shape == (2, even // 2)
+        assert grid.tobytes() == want[:even].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=interpolants, ends=st.lists(st.floats(min_value=0, max_value=1),
+                                      min_size=2, max_size=2),
+           pick=st.integers(0, 3))
+    def test_integral_equals_the_reference(self, f, ends, pick):
+        lo, hi = f.domain
+        a, b = (min(max(lo + u * (hi - lo), lo), hi) for u in ends)
+        if pick & 1:  # a knot as the lower bound
+            a = f.xs[len(f.xs) // 2]
+        if pick & 2:  # a knot as the upper bound
+            b = f.xs[-1 - len(f.xs) // 3]
+        # the same double, except that a zero result may differ in sign
+        assert f.integrate(a, b) == integral_reference(f, a, b)
 
 
 class TestPchipIntegrate:
