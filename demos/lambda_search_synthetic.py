@@ -27,7 +27,7 @@ print(f"best BD-rate:    {trace.best[1]:+.4f}% (negative = rate saved)")
 print(f"cost at (1,1):   {trace.evaluations[0].cost}")
 print(f"cost calls:      {len(trace.evaluations)}")
 print(f"encodes issued:  {trace.encode_count} (memoization refunds revisits)")
-print(f"outer iterations {trace.iterations}")
+print(f"radius levels:   {trace.iterations} (trust-region resolutions searched)")
 
 # The first few and last few steps of the search path:
 print("\n  step     k1      k2        cost  cached")

@@ -204,9 +204,12 @@ def pchip_fit(xs, ys) -> PchipInterpolant:
             else:
                 w1 = 2.0 * h[i] + h[i - 1]
                 w2 = h[i] + 2.0 * h[i - 1]
-                m[i] = (w1 + w2) / (w1 / d[i - 1] + w2 / d[i])
+                mean = w1 / d[i - 1] + w2 / d[i]
+                m[i] = (w1 + w2) / mean if mean else math.inf
         m[0] = _edge_slope(h[0], h[1], d[0], d[1])
         m[-1] = _edge_slope(h[-1], h[-2], d[-1], d[-2])
+    if not all(map(math.isfinite, d + m)):
+        raise NonFiniteValue(f"knots {xs} too close: a secant or slope is not finite")
     return PchipInterpolant(xs=tuple(xs), ys=tuple(ys), slopes=tuple(m))
 
 
@@ -252,7 +255,8 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
     Returns (curve, meta) where meta may carry "clip", "variant", and a
     "ci95" list aligned with the curve's (rate-sorted) points. "metric" and,
     when given, "clip" and "variant" must be strings, and each ci95 finite
-    and >= 0; a violation is a ValueError naming the file.
+    and >= 0; a violation is a ValueError naming the file, as is an invalid
+    curve (of build_curve's error class).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -282,7 +286,10 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
     for value in ci95:
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{path}: ci95 must be finite and >= 0, got {value!r}")
-    curve = build_curve(points, metric)
+    try:
+        curve = build_curve(points, metric)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     return curve, {"clip": doc.get("clip"), "variant": doc.get("variant"), "ci95": ci95}
 
 

@@ -4,14 +4,8 @@ The cost of a candidate (k1, k2) is the BD-rate of the curve it produces
 against the baseline curve encoded at (1, 1), so the cost at (1, 1) is
 exactly zero and any negative best cost is a real improvement. Encodes are
 memoized by (clip, settings, metric, qp, k1, k2) since the search revisits
-points.
-
-The search is perclip.powell's box search. Only its first iteration's line
-searches along k1 and k2 cover the whole feasible segment; every other one,
-a newly installed conjugate direction included, starts from the current
-point and stops at a box bound that is still downhill. BD-rate searches
-resolve ks to K_RESOLUTION, while powell_minimize keeps the box search's
-own 1e-4.
+points. The search is perclip.powell's quadratic-model trust region; it
+resolves ks to K_RESOLUTION here and to 1e-4 in powell_minimize.
 """
 
 from __future__ import annotations
@@ -34,11 +28,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_QPS = (27, 39, 49, 59, 63)
 
-# Line-search tolerance on k1 and k2 for BD-rate searches. The cost is flat
-# near its optimum: on the synthetic models, a step of 1e-3 in one k from an
-# interior optimum moves it by 0.6e-5 to 1.4e-5 pct-points, while taking the
-# rate from a whole number of bytes over an 8 s clip adds noise of up to
-# 3e-5. A finer resolution only spends encodes on that noise.
+# Final trust-region radius on k1 and k2 for BD-rate searches. The cost is
+# flat near its optimum: on the synthetic models, a step of 1e-3 in one k
+# from an interior optimum moves it by 0.6e-5 to 1.4e-5 pct-points, while
+# taking the rate from a whole number of bytes over an 8 s clip adds noise of
+# up to 3e-5. A finer resolution only spends encodes on that noise.
 K_RESOLUTION = 1e-3
 
 
@@ -240,25 +234,13 @@ def _box_search(cost, config: OptimizationConfig, xtol: float,
         return value
 
     k_min, k_max = config.bounds
-    result = powell_box_minimize(
-        wrapped,
-        x0=config.x0,
-        lower=(k_min, k_min),
-        upper=(k_max, k_max),
-        ftol=config.ftol,
-        max_iters=config.max_iters,
-        xtol=xtol,
-    )
+    result = powell_box_minimize(wrapped, config.x0, (k_min, k_min), (k_max, k_max),
+                                 config.ftol, config.max_iters, xtol)
+    evaluations = tuple(CostEvaluation(ks=_ks(x), cost=value, cache_hit=hit)
+                        for (x, value), hit in zip(result.evaluations, hits))
     return OptimizationTrace(
-        evaluations=tuple(
-            CostEvaluation(ks=_ks(x), cost=value, cache_hit=hit)
-            for (x, value), hit in zip(result.evaluations, hits)
-        ),
-        best=(_ks(result.x), result.fx),
-        iterations=result.iterations,
-        encode_count=enc.encodes_issued if enc else 0,
-        hit_iteration_cap=not result.converged,
-    )
+        evaluations=evaluations, best=(_ks(result.x), result.fx), iterations=result.iterations,
+        encode_count=enc.encodes_issued if enc else 0, hit_iteration_cap=not result.converged)
 
 
 def powell_minimize(f, config: OptimizationConfig) -> OptimizationTrace:

@@ -1,25 +1,25 @@
-"""Derivative-free conjugate-direction minimization on a box.
+"""Derivative-free minimization on a box by a quadratic-model trust region,
+after Powell's UOBYQA (Math. Program. 2002) and BOBYQA (2009).
 
-Classic Powell scheme: line-minimize along each direction of a working set
-(initially the coordinate axes), then replace the direction of largest
-single-step decrease with the iteration's net displacement when the
-standard acceptance test passes. Only the first iteration's searches along
-the axes run Brent's bounded method (golden section with parabolic
-interpolation, Brent 1973) over the whole feasible segment. Every other
-search, a newly installed conjugate direction included, starts from the
-current point, which earlier searches left near the line's minimum: it
-steps outward from it and stops at once when neither first step is
-better, or at a box bound that is still downhill (see _line_minimize). No
-point is ever evaluated outside the box.
+The point set starts as x0, x0 +- rho*e_i and, per pair of axes, the
+diagonal toward the better axis probes. Each step fits a full quadratic
+through the best point to the set's finite costs and moves to its exact
+minimum over the box and ||s||inf <= delta. The ratio of the actual to the
+predicted decrease resizes delta, never below rho. With no useful step
+left, a point farther than 3*delta from the best gives way to the best's
+neighbour at distance rho in its direction, or else rho shrinks fivefold,
+down to xtol. A +inf cost never enters the model; when every cost near x0
+is +inf, the axes are probed at doubling distances until one is finite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import add, itemgetter, mul, sub
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 @dataclass
@@ -31,156 +31,162 @@ class PowellResult:
     converged: bool
 
 
-def _feasible_interval(x, d, lower, upper) -> tuple[float, float]:
-    # range of t with lower <= x + t*d <= upper
-    t_lo, t_hi = -math.inf, math.inf
-    for xi, di, lo, hi in zip(x, d, lower, upper):
-        if di == 0.0:
+def _eliminate(rows: list[list[float]], spd: bool) -> list[float] | None:
+    """Solve a x = b, given as rows [a_i, b_i], by Gaussian elimination in a
+    fixed order. With spd, a must be positive definite: rows pivot in order
+    and a pivot <= 0 gives None. Otherwise each column takes the largest
+    pivot left, and a column without one above 1e-10 gets x_k = 0, so a
+    short or degenerate system is solved in its earlier columns."""
+    ncol = len(rows[0]) - 1 if rows else 0
+    done = []
+    for k in range(ncol):
+        col = [abs(row[k]) for row in rows] or [0.0]
+        i = 0 if spd else col.index(max(col))
+        if spd and rows[0][k] <= 0.0:
+            return None
+        if not spd and col[i] <= 1e-10:
             continue
-        a, b = (lo - xi) / di, (hi - xi) / di
-        if a > b:
-            a, b = b, a
-        t_lo = max(t_lo, a)
-        t_hi = min(t_hi, b)
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        return 0.0, 0.0
-    return t_lo, t_hi
+        p = rows.pop(i)
+        rows = [[u - row[k] / p[k] * v for u, v in zip(row, p)] for row in rows]
+        done.append((k, p))
+    x = [0.0] * ncol
+    for k, p in reversed(done):  # x is still 0 up to x[k]
+        x[k] = (p[-1] - sum(map(mul, p, x))) / p[k]
+    return x
 
 
-_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+def _fit(pts, xb, fb: float, scale: float, terms):
+    """Quadratic q(s) = g.s + s.h.s / 2, s = x - xb, through the points
+    (x, f(x)) of pts; returns (g, h). Unknowns run linear, square, cross
+    (as in terms); those the points cannot resolve are 0."""
+    n = len(xb)
+    ys = [([d / scale for d in map(sub, x, xb)], v - fb) for x, v in pts if x != xb]
+    rows = [y + [y[i] * y[j] for i, j in terms] + [v] for y, v in ys]
+    c = _eliminate(rows, spd=False) or [0.0] * (n + len(terms))
+    h = [[0.0] * n for _ in range(n)]
+    for (i, j), v in zip(terms, c[n:]):
+        h[i][j] = h[j][i] = (2.0 if i == j else 1.0) * v / scale ** 2
+    return [v / scale for v in c[:n]], h
 
 
-def _line_minimize(f1d, t_lo: float, t_hi: float, f_at_zero: float, xtol: float,
-                   local: bool = False):
-    """Minimize f1d on [t_lo, t_hi] knowing f1d(0); returns (t, f) best seen.
-
-    Without local, Brent's bounded method searches the whole segment. With
-    local, t=0 is taken to lie near the minimum already: when neither probe
-    at t = +-2*xtol is better than t=0 the search ends there; otherwise it
-    steps downhill, each step the golden ratio times the last, until the
-    cost rises, and Brent's bounded method searches between the points on
-    either side of the lowest one. A step that would leave the segment
-    evaluates the segment's end instead, and the search stops at the end
-    when it is still downhill. Never returns a point worse than t=0.
-    """
-    best_t, best_f = 0.0, f_at_zero
-    if t_hi - t_lo <= xtol:
-        return best_t, best_f
-
-    def probe(t: float) -> float:
-        ft = f1d(t)
-        nonlocal best_t, best_f
-        if ft < best_f:
-            best_t, best_f = t, ft
-        return ft
-
-    bounds = (t_lo, t_hi)
-    if local:
-        bounds = _downhill_bracket(probe, t_lo, t_hi, f_at_zero, xtol)
-        if bounds is None:
-            return best_t, best_f
-    minimize_scalar(probe, bounds=bounds, method="bounded", options={"xatol": xtol})
-    return best_t, best_f
+def _box_min(g, h, lo, hi) -> tuple[list[float], float]:
+    """Minimum of q(s) = g.s + s.h.s / 2 over the box [lo, hi], which holds
+    0, and the decrease -q there: the lowest stationary point of q, strictly
+    convex there, on one of the box's 3**n faces (the interior first)."""
+    n = len(g)
+    best, q_best = [0.0] * n, 0.0
+    for c in itertools.product(*[(None, a, b) for a, b in zip(lo, hi)]):
+        s = [0.0 if v is None else v for v in c]
+        free = [i for i, v in enumerate(c) if v is None]
+        if free:
+            sol = _eliminate([[h[i][j] for j in free] + [-g[i] - sum(map(mul, h[i], s))]
+                              for i in free], spd=True)
+            if sol is None or not all(lo[i] <= v <= hi[i] for i, v in zip(free, sol)):
+                continue
+            for i, v in zip(free, sol):
+                s[i] = v
+        q = sum((g[i] + 0.5 * sum(map(mul, h[i], s))) * s[i] for i in range(n))
+        if len(free) == n:  # q is convex and its minimum lies in the box
+            return s, -q
+        if q < q_best:
+            best, q_best = s, q
+    return best, -q_best
 
 
-def _downhill_bracket(probe, t_lo: float, t_hi: float, f_at_zero: float, xtol: float):
-    """Step downhill from t=0 toward each end of [t_lo, t_hi] in turn, the
-    first step 2*xtol long; returns the bracket around the lowest step, or
-    None when t=0 or an end of the segment is the best point found."""
-    for end in (t_hi, t_lo):
-        if end == 0.0:
-            continue
-        step = math.copysign(2.0 * xtol, end)
-        a, b, fb = 0.0, 0.0, f_at_zero
-        while True:
-            c = b + step
-            at_end = abs(c) >= abs(end)
-            if at_end:
-                c = end
-            fc = probe(c)
-            if fc >= fb:
-                break
-            if at_end:
-                return None
-            a, b, fb = b, c, fc
-            step *= _GOLDEN
-        if b != 0.0:
-            return min(a, c), max(a, c)
-    return None
-
-
-def powell_box_minimize(
-    f,
-    x0,
-    lower,
-    upper,
-    ftol: float = 1e-8,
-    max_iters: int = 50,
-    xtol: float = 1e-4,
-) -> PowellResult:
-    """Minimize f over the box [lower, upper] starting at x0."""
-    x = np.asarray(x0, dtype=float).copy()
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if np.any(lower >= upper):
+def powell_box_minimize(f, x0, lower, upper, ftol: float = 1e-8, max_iters: int = 50,
+                        xtol: float = 1e-4) -> PowellResult:
+    """Minimize f over the box [lower, upper] from x0 to a resolution of xtol;
+    stop early when every cost of the point set is within ftol (relative) of
+    the best, or unconverged after max_iters iterations (resolutions rho)."""
+    x0, lower, upper = (tuple(map(float, v)) for v in (x0, lower, upper))
+    if any(lo >= hi for lo, hi in zip(lower, upper)):
         raise ValueError("each lower bound must be below its upper bound")
-    if np.any(x < lower) or np.any(x > upper):
-        raise ValueError(f"start point {x.tolist()} outside the box")
-    n = len(x)
-    evaluations: list[tuple[tuple[float, ...], float]] = []
+    if any(not lo <= v <= hi for v, lo, hi in zip(x0, lower, upper)):
+        raise ValueError(f"start point {list(x0)} outside the box")
+    n = len(x0)
+    terms = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
+    full = n + 1 + len(terms)  # points that fix a quadratic
+    seen: dict[tuple[float, ...], float] = {}  # every evaluation, in order
+    pts: list[tuple[tuple[float, ...], float]] = []  # the finite points
 
-    def call(pt: np.ndarray) -> float:
-        pt = np.clip(pt, lower, upper)
-        val = float(f(pt))
-        evaluations.append((tuple(pt), val))
-        return val
+    def clip(x) -> tuple[float, ...]:
+        return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper))
 
-    dirs = [np.eye(n)[i] for i in range(n)]
-    fx = call(x)
+    def call(x) -> float:
+        """f at x clipped to the box, evaluated once per point."""
+        x = clip(x)
+        if x not in seen:
+            seen[x] = float(f(np.array(x)))
+            if seen[x] < math.inf:
+                pts.append((x, seen[x]))
+        return seen[x]
 
-    def search(d: np.ndarray, local: bool) -> float:
-        """Line-minimize along d from x, move x to the best point found and
-        return the drop in fx."""
-        nonlocal x, fx
-        t_lo, t_hi = _feasible_interval(x, d, lower, upper)
-        t, ft = _line_minimize(lambda t: call(x + t * d), t_lo, t_hi, fx, xtol, local)
-        x = np.clip(x + t * d, lower, upper)
-        drop, fx = fx - ft, ft
-        return drop
+    def shifted(x, i, t):
+        return x[:i] + (x[i] + t,) + x[i + 1:]
 
-    converged = False
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        x_start = x.copy()
-        f_start = fx
-        drops = [search(d, local=iterations > 1) for d in dirs]
-        if 2.0 * abs(f_start - fx) <= ftol * (abs(f_start) + abs(fx) + 1e-12):
+    def far(x, y) -> float:
+        return max(map(abs, map(sub, x, y)))
+
+    def stencil(c) -> int:
+        """Evaluate c, c +- rho*e_i (both inward at a bound) and, per pair of
+        axes, the diagonal toward the better probes; count the new points."""
+        count = len(seen)
+        call(c)
+        better = []
+        for i in range(n):
+            up, down = upper[i] - c[i], c[i] - lower[i]
+            steps = ((-rho, -min(2.0 * rho, down)) if up < rho / 2.0 else
+                     (rho, min(2.0 * rho, up)) if down < rho / 2.0 else
+                     (min(rho, up), -min(rho, down)))
+            better.append(min(steps, key=lambda t: call(shifted(c, i, t))))
+        for i, j in itertools.combinations(range(n), 2):
+            call(shifted(shifted(c, i, better[i]), j, better[j]))
+        return len(seen) - count
+
+    delta = rho = max(min(0.25, min(map(sub, upper, lower)) / 2.0), xtol)
+    rho_end = min(xtol, rho)
+    stencil(x0)
+    reach = 2.0 * rho  # no finite cost near x0: probe the axes ever farther
+    while not pts and reach < max(map(sub, upper, lower)):
+        reach *= 2.0
+        if any(call(shifted(x0, i, t)) < math.inf for i in range(n) for t in (reach, -reach)):
+            stencil(pts[0][0])
+    iterations, converged, fitted = 1, False, -1
+    while pts:
+        xb, fb = min(pts, key=itemgetter(1))
+        if len(pts) >= full and all(
+                2.0 * abs(v - fb) <= ftol * (abs(v) + abs(fb) + 1e-12) for _, v in pts):
             converged = True
             break
-        # direction-set update: try the extrapolated point along the net move
-        d_net = x - x_start
-        norm = float(np.linalg.norm(d_net))
-        if norm == 0.0:
+        dist = [far(x, xb) for x, _ in pts]
+        if fitted != len(seen):  # no new point, no new model
+            fitted, (g, h) = len(seen), _fit(pts, xb, fb, max(dist) or rho, terms)
+        s, pred = _box_min(g, h, [max(a - b, -delta) for a, b in zip(lower, xb)],
+                           [min(a - b, delta) for a, b in zip(upper, xb)])
+        step = max(map(abs, s))
+        if step >= rho / 2.0 and pred > 0.0:
+            fn = call(tuple(map(add, xb, s)))
+            if len(pts) > full:  # it replaces the old point farthest from the best
+                xn = min(pts, key=itemgetter(1))[0]
+                pts.remove(max(pts[:-1], key=lambda p: (p[0] != xn, far(p[0], xn))))
+            ratio = (fb - fn) / pred
+            if ratio >= 0.7:
+                delta = max(delta, 2.0 * step)
+            if ratio >= 0.1 or delta > rho:  # a failed step at the floor ends the level
+                delta = delta if ratio >= 0.1 else max(delta / 2.0, rho)
+                continue
+        worst = pts[dist.index(max(dist))]
+        x = clip(b + math.copysign(rho, w - b) if w != b else b for w, b in zip(worst[0], xb))
+        if max(dist) > 3.0 * delta and x not in seen:
+            if call(x) < math.inf:
+                pts.remove(worst)
             continue
-        x_e = np.clip(x_start + 2.0 * d_net, lower, upper)
-        if np.allclose(x_e, x):
+        if len(pts) <= n and stencil(xb):  # too few points for a linear model
             continue
-        f_e = call(x_e)
-        if f_e < f_start:
-            i_big = int(np.argmax(drops))
-            delta = drops[i_big]
-            t1 = 2.0 * (f_start - 2.0 * fx + f_e) * (f_start - fx - delta) ** 2
-            t2 = delta * (f_start - f_e) ** 2
-            if t1 < t2:
-                dirs[i_big] = dirs[n - 1]
-                dirs[n - 1] = d_net / norm
-                search(dirs[n - 1], local=True)
-    best_x, best_f = min(evaluations, key=lambda e: e[1])
-    return PowellResult(
-        x=np.asarray(best_x),
-        fx=best_f,
-        iterations=iterations,
-        evaluations=evaluations,
-        converged=converged,
-    )
+        if rho <= rho_end or iterations >= max_iters:
+            converged = rho <= rho_end
+            break
+        iterations, rho = iterations + 1, max(rho / 5.0, rho_end)
+        delta = max(delta / 2.0, rho)
+    best_x, best_f = min(seen.items(), key=itemgetter(1))
+    return PowellResult(np.asarray(best_x), best_f, iterations, list(seen.items()), converged)

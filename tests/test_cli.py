@@ -58,6 +58,14 @@ BAD_CURVE_FILES = [
                  "ci95 must be finite and >= 0, got -2.0", id="ci95-negative"),
     pytest.param(lambda doc: doc["points"][1].update(ci95="wide"),
                  "malformed point entry", id="ci95-text"),
+    pytest.param(lambda doc: doc["points"][1].update(quality="nan"),
+                 "quality must be finite, got nan", id="quality-nan"),
+    pytest.param(lambda doc: doc["points"][1].update(rate_kbps=-5),
+                 "rate must be positive and finite, got -5.0", id="rate-negative"),
+    pytest.param(lambda doc: doc["points"][1].update(rate_kbps=doc["points"][0]["rate_kbps"]),
+                 "duplicate rate", id="rate-duplicate"),
+    pytest.param(lambda doc: doc.update(points=doc["points"][:1]),
+                 "curve needs >= 2 points, got 1", id="one-point"),
 ]
 
 
@@ -275,6 +283,20 @@ class TestBdCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {bad}: {message}")
+
+    def test_knots_too_close_for_finite_slopes_exit_1(self, tmp_path, capsys):
+        a = {"metric": "mos", "points": [{"rate_kbps": r, "quality": q}
+                                         for r, q in ((100, 0.0), (200, 5e-324), (300, 1e-300))]}
+        b = {"metric": "mos", "points": [
+            {"rate_kbps": 100, "quality": -1.0}, {"rate_kbps": 300, "quality": 1.0}]}
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(a))
+        pb.write_text(json.dumps(b))
+        code = run("--out", tmp_path, "bd", pb, pa)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "not finite" in err
 
     def test_disjoint_quality_ranges_exit_1(self, tmp_path, capsys):
         a = {"metric": "mos", "points": [

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -91,6 +92,15 @@ class TestPchipFit:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteValue):
             pchip_fit([0, 1, math.inf], [1, 2, 3])
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0, 5e-324, 1e-300], [0.0, 1.0, 2.0]),  # harmonic mean divides by 0
+        ([0.0, 1e-300, 2e-300], [0.0, 1.0, 2.0]),  # finite secants, same division
+        ([0.0, 2.2e-309], [0.0, 1.0]),  # the secant overflows to inf
+    ])
+    def test_knots_too_close_for_finite_slopes_rejected(self, xs, ys):
+        with pytest.raises(NonFiniteValue, match="not finite"):
+            pchip_fit(xs, ys)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -371,7 +381,7 @@ class TestCurveJson:
         path.write_text(json.dumps({"metric": "mos", "points": [
             {"rate_kbps": 10, "quality": 1.0}
         ]}))
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewPoints, match="^" + re.escape(str(path))):
             read_curve_json(path)
 
     def test_missing_keys(self, tmp_path):

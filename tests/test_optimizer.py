@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -299,8 +300,29 @@ class TestOptimizeClip:
         optimum = evaluate_cost(backend, "clip", LambdaMultipliers(*model.k_star),
                                 baseline, config)
         _, trace = optimize_clip(backend, "clip", config)
-        assert trace.encode_count <= 150
+        assert trace.encode_count <= 100
         assert abs(trace.best[1] - optimum) <= 0.01  # BD-rate pct-points
+
+    def test_start_with_infinite_cost_still_finds_the_optimum(self):
+        # x0's curve has no quality overlap with the baseline's, and neither
+        # have its neighbours; comparable points lie farther along both axes
+        backend = SyntheticBackend(SyntheticModel(k_star=(1.0, 6.0)))
+        config = OptimizationConfig(bounds=(0.5, 4.0), x0=(0.5, 4.0))
+        _, trace = optimize_clip(backend, "clip", config)
+        assert math.isinf(trace.evaluations[0].cost)
+        assert math.isfinite(trace.best[1])
+        assert abs(trace.best[1] - -92.129) <= 0.01  # BD-rate pct-points
+
+    def test_optimum_on_the_edge_of_comparable_curves(self):
+        # the cost falls toward the edge of the region where the candidate's
+        # qualities overlap the baseline's and is +inf beyond it
+        backend = SyntheticBackend(SyntheticModel(k_star=(5.61, 3.32), gamma=1.24,
+                                                  w1=0.66, w2=0.21))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, trace = optimize_clip(backend, "clip")
+        assert abs(trace.best[1] - -92.128) <= 0.01  # BD-rate pct-points
+        assert sum(math.isinf(e.cost) for e in trace.evaluations) < 27
 
     def test_baseline_already_optimal(self):
         backend = SyntheticBackend(SyntheticModel(k_star=(1.0, 1.0)))

@@ -1,4 +1,4 @@
-"""Tests for the bounded conjugate-direction minimizer."""
+"""Tests for the box-constrained trust-region minimizer."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perclip import LambdaMultipliers, OptimizationConfig, powell_minimize
-from perclip.powell import _line_minimize, powell_box_minimize
+from perclip.powell import powell_box_minimize
 
 
 def quadratic_bowl(x):
@@ -67,7 +67,7 @@ class TestPowellMinimize:
         assert all(a >= b for a, b in zip(bests, bests[1:]))
 
     def test_iteration_cap_flag(self):
-        # one outer iteration cannot satisfy the tolerance on this surface
+        # one resolution level cannot reach the minimum of this surface
         trace = powell_minimize(rosenbrock, OptimizationConfig(
             x0=(2.0, 3.0), max_iters=1, ftol=1e-14))
         assert trace.hit_iteration_cap
@@ -93,28 +93,6 @@ class TestPowellMinimize:
         )
         assert np.allclose(res.x, [0.2, 0.2], atol=1e-3)
 
-    def test_repeat_search_stops_on_the_bound(self):
-        seen = []
-
-        def f(t):
-            seen.append(t)
-            return -t
-
-        t, ft = _line_minimize(f, -1.0, 0.5, 0.0, 1e-4, local=True)
-        assert (t, ft) == (0.5, -0.5)
-        assert seen[-1] == 0.5
-        assert len(seen) < 20  # golden-ratio steps, not golden-section creep
-
-    def test_repeat_search_without_downhill_probe_stops(self):
-        seen = []
-
-        def f(t):
-            seen.append(t)
-            return (t - 1e-5) ** 2
-
-        assert _line_minimize(f, -1.0, 1.0, 1e-10, 1e-4, local=True) == (0.0, 1e-10)
-        assert seen == [2e-4, -2e-4]
-
     def test_optimum_beyond_box_lands_on_the_bound(self):
         res = powell_box_minimize(
             lambda x: float((x[0] - 4.5) ** 2 + (x[1] - 0.7) ** 2),
@@ -126,9 +104,8 @@ class TestPowellMinimize:
         assert res.x[1] == pytest.approx(0.7, abs=1e-4)
 
     def test_optimum_beyond_box_evaluates_no_point_twice(self):
-        # a new conjugate direction is searched from the current point, not
-        # over its whole segment again; points are told apart at 1e-6, the
-        # resolution of the encode cache's key
+        # points are told apart at 1e-6, the resolution of the encode
+        # cache's key
         res = powell_box_minimize(
             lambda x: float((x[0] - 4.5) ** 2 + (x[1] - 0.7) ** 2),
             x0=(1.0, 1.0),
