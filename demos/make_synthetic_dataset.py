@@ -40,9 +40,6 @@ def write_backend_config() -> None:
         "optimizer": {
             "qps": [27, 39, 49, 59, 63],
             "bounds": [0.2, 4.0],
-            "x0": [1.0, 1.0],
-            "ftol": 1e-6,
-            "max_iters": 20,
             "metric_id": "ms_ssim",
         },
     }

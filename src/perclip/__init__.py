@@ -30,7 +30,6 @@ from .optimizer import (
     OptimizationTrace,
     evaluate_cost,
     optimize_clip,
-    powell_minimize,
 )
 from .subjective import (
     MosEntry,

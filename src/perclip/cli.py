@@ -1,8 +1,7 @@
 """Command-line interface: optimize, bd, scores, correlate, report.
 
-Exit codes: 0 success, 1 error, 2 completed with flags (an optimizer run
-hit its iteration cap). All CSV output uses 6 significant digits so reruns
-on identical inputs diff clean.
+Exit codes: 0 success, 1 error. All CSV output uses 6 significant digits so
+reruns on identical inputs diff clean.
 """
 
 from __future__ import annotations
@@ -90,12 +89,10 @@ def cmd_optimize(args) -> int:
         if Path(args.cache).exists():
             cache.load(args.cache)
     outputs: list[Path] = []
-    any_capped = False
     for clip in args.clips:
         ks, trace = optimize_clip(
             backend, clip, config, proxy=args.proxy, cache=cache
         )
-        any_capped = any_capped or trace.hit_iteration_cap
         result_path = out / f"{clip}.result.json"
         with open(result_path, "w") as fh:
             json.dump(
@@ -124,9 +121,8 @@ def cmd_optimize(args) -> int:
         print(f"{clip}: k1={ks.k1:.6g} k2={ks.k2:.6g} cost={trace.best[1]:.6g}%")
     if args.cache:
         cache.save(args.cache)
-    code = 2 if any_capped else 0
-    _write_manifest(args, "optimize", list(args.clips), outputs, code, args.config)
-    return code
+    _write_manifest(args, "optimize", list(args.clips), outputs, 0, args.config)
+    return 0
 
 
 def cmd_bd(args) -> int:

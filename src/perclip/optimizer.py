@@ -4,8 +4,8 @@ The cost of a candidate (k1, k2) is the BD-rate of the curve it produces
 against the baseline curve encoded at (1, 1), so the cost at (1, 1) is
 exactly zero and any negative best cost is a real improvement. Encodes are
 memoized by (clip, settings, metric, qp, k1, k2) since the search revisits
-points. The search is perclip.powell's quadratic-model trust region; it
-resolves ks to K_RESOLUTION here and to 1e-4 in powell_minimize.
+points. The search is perclip.powell's quadratic-model trust region from
+(1, 1); it resolves ks to K_RESOLUTION.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ K_RESOLUTION = 1e-3
 class OptimizationConfig:
     qps: tuple[int, ...] = DEFAULT_QPS
     bounds: tuple[float, float] = (0.2, 4.0)
-    x0: tuple[float, float] = (1.0, 1.0)
-    ftol: float = 1e-6
-    max_iters: int = 20
     metric_id: str = "ms_ssim"
 
     def __post_init__(self) -> None:
@@ -54,8 +51,6 @@ class OptimizationConfig:
         k_min, k_max = self.bounds
         if not 0.0 < k_min < 1.0 < k_max:
             raise ValueError(f"bounds must be positive and straddle 1.0, got {self.bounds}")
-        if not all(k_min <= k <= k_max for k in self.x0):
-            raise ValueError(f"start point {self.x0} outside bounds {self.bounds}")
 
 
 @dataclass(frozen=True)
@@ -71,19 +66,22 @@ class OptimizationTrace:
     best: tuple[LambdaMultipliers, float]
     iterations: int
     encode_count: int
-    hit_iteration_cap: bool
 
 
 def _finite(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def _cache_key(clip, settings, metric_id, qp, k1, k2) -> tuple:
+    return clip, settings, metric_id, qp, round(k1, 6), round(k2, 6)
+
+
 class EncodeCache:
     """Thread-safe (rate, quality) store keyed by the encode request.
 
-    k values are rounded to 1e-6 for the key. Persistable to JSON so a
-    repeated run issues zero encodes; a file row is the key's six fields
-    followed by rate and quality.
+    k values are rounded to 1e-6 for the key, also in rows loaded from a
+    file. Persistable to JSON so a repeated run issues zero encodes; a file
+    row is the key's six fields followed by rate and quality.
     """
 
     def __init__(self) -> None:
@@ -92,14 +90,8 @@ class EncodeCache:
 
     @staticmethod
     def key(request: EncodeRequest) -> tuple:
-        return (
-            request.clip,
-            request.settings,
-            request.metric_id,
-            request.qp,
-            round(request.ks.k1, 6),
-            round(request.ks.k2, 6),
-        )
+        return _cache_key(request.clip, request.settings, request.metric_id, request.qp,
+                          request.ks.k1, request.ks.k2)
 
     def get(self, request: EncodeRequest) -> EncodeResult | None:
         with self._lock:
@@ -159,7 +151,7 @@ class EncodeCache:
                     "must be strings, qp an integer in [0, 63], k1, k2 and rate finite "
                     "and > 0, quality finite"
                 )
-            entries[(clip, settings, metric_id, qp, k1, k2)] = (rate, quality)
+            entries[_cache_key(clip, settings, metric_id, qp, k1, k2)] = (rate, quality)
         with self._lock:
             self._data.update(entries)
 
@@ -220,34 +212,6 @@ def _ks(x) -> LambdaMultipliers:
     return LambdaMultipliers(k1=float(x[0]), k2=float(x[1]))
 
 
-def _box_search(cost, config: OptimizationConfig, xtol: float,
-                enc: CachingEncoder | None = None) -> OptimizationTrace:
-    """Minimize cost(x), x = [k1, k2], over the box of the config to xtol in
-    each k. With enc, an evaluation that issued no encode is a cache hit and
-    the trace counts enc's encodes."""
-    hits: list[bool] = []
-
-    def wrapped(x) -> float:
-        issued = enc.encodes_issued if enc else 0
-        value = cost(x)
-        hits.append(enc is not None and enc.encodes_issued == issued)
-        return value
-
-    k_min, k_max = config.bounds
-    result = powell_box_minimize(wrapped, config.x0, (k_min, k_min), (k_max, k_max),
-                                 config.ftol, config.max_iters, xtol)
-    evaluations = tuple(CostEvaluation(ks=_ks(x), cost=value, cache_hit=hit)
-                        for (x, value), hit in zip(result.evaluations, hits))
-    return OptimizationTrace(
-        evaluations=evaluations, best=(_ks(result.x), result.fx), iterations=result.iterations,
-        encode_count=enc.encodes_issued if enc else 0, hit_iteration_cap=not result.converged)
-
-
-def powell_minimize(f, config: OptimizationConfig) -> OptimizationTrace:
-    """Minimize an arbitrary cost f(x), x = [k1, k2], over the box of the config."""
-    return _box_search(f, config, xtol=1e-4)
-
-
 def optimize_clip(
     backend: EncoderBackend,
     clip: str,
@@ -257,10 +221,12 @@ def optimize_clip(
 ) -> tuple[LambdaMultipliers, OptimizationTrace]:
     """Find the best (k1, k2) for one clip under proxy settings.
 
-    The baseline is the curve at (1, 1); the search minimizes BD-rate
-    against it. The returned multipliers are meant to be reused for the
-    native-settings encode. A failed candidate encode costs +inf rather
-    than aborting the search; a failed baseline encode is fatal.
+    The baseline is the curve at (1, 1), where the search starts; it
+    minimizes BD-rate against the baseline. The returned multipliers are
+    meant to be reused for the native-settings encode. A failed candidate
+    encode costs +inf rather than aborting the search; a failed baseline
+    encode is fatal, and so is a baseline that bd_rate cannot compare with
+    itself, whose error keeps its class and names the clip.
     """
     config = config or OptimizationConfig()
     settings = proxy if proxy is not None else "native"
@@ -269,14 +235,27 @@ def optimize_clip(
         enc, clip, LambdaMultipliers(1.0, 1.0), config.qps,
         settings=settings, metric_id=config.metric_id,
     )
+    try:
+        bd_rate(baseline, baseline)
+    except (NoOverlap, TooFewPoints, NonAscendingAbscissae) as exc:
+        raise type(exc)(
+            f"clip {clip!r}: baseline curve not comparable with itself ({exc})") from exc
+    hits: list[bool] = []  # per evaluation: issued no encode
 
     def cost(x) -> float:
-        ks = _ks(x)
+        ks, issued = _ks(x), enc.encodes_issued
         try:
-            return evaluate_cost(enc, clip, ks, baseline, config, settings=settings)
+            value = evaluate_cost(enc, clip, ks, baseline, config, settings=settings)
         except BackendFailure as exc:
             log.warning("encode failed at (%.4f, %.4f): %s; using +inf", ks.k1, ks.k2, exc)
-            return math.inf
+            value = math.inf
+        hits.append(enc.encodes_issued == issued)
+        return value
 
-    trace = _box_search(cost, config, K_RESOLUTION, enc)
-    return trace.best[0], trace
+    k_min, k_max = config.bounds
+    result = powell_box_minimize(cost, (1.0, 1.0), (k_min, k_min), (k_max, k_max), K_RESOLUTION)
+    evaluations = tuple(CostEvaluation(ks=_ks(x), cost=value, cache_hit=hit)
+                        for (x, value), hit in zip(result.evaluations, hits))
+    best = _ks(result.x)
+    return best, OptimizationTrace(evaluations=evaluations, best=(best, result.fx),
+                                   iterations=result.iterations, encode_count=enc.encodes_issued)

@@ -8,8 +8,9 @@ minimum over the box and ||s||inf <= delta. The ratio of the actual to the
 predicted decrease resizes delta, never below rho. With no useful step
 left, a point farther than 3*delta from the best gives way to the best's
 neighbour at distance rho in its direction, or else rho shrinks fivefold,
-down to xtol. A +inf cost never enters the model; when every cost near x0
-is +inf, the axes are probed at doubling distances until one is finite.
+down to xtol. The search ends there, or earlier once every cost of a full
+point set is within FTOL (relative) of the best. The cost at x0 must be
+finite; a +inf cost elsewhere never enters the model.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from operator import add, itemgetter, mul, sub
 
 import numpy as np
 
+FTOL = 1e-6  # relative spread of a full point set's costs that ends the search
+
 
 @dataclass
 class PowellResult:
@@ -28,7 +31,6 @@ class PowellResult:
     fx: float
     iterations: int
     evaluations: list[tuple[tuple[float, ...], float]]
-    converged: bool
 
 
 def _eliminate(rows: list[list[float]], spd: bool) -> list[float] | None:
@@ -93,11 +95,9 @@ def _box_min(g, h, lo, hi) -> tuple[list[float], float]:
     return best, -q_best
 
 
-def powell_box_minimize(f, x0, lower, upper, ftol: float = 1e-8, max_iters: int = 50,
-                        xtol: float = 1e-4) -> PowellResult:
-    """Minimize f over the box [lower, upper] from x0 to a resolution of xtol;
-    stop early when every cost of the point set is within ftol (relative) of
-    the best, or unconverged after max_iters iterations (resolutions rho)."""
+def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4) -> PowellResult:
+    """Minimize f over the box [lower, upper] from x0 to a resolution of
+    xtol; iterations counts resolutions rho. f(x0) must be finite."""
     x0, lower, upper = (tuple(map(float, v)) for v in (x0, lower, upper))
     if any(lo >= hi for lo, hi in zip(lower, upper)):
         raise ValueError("each lower bound must be below its upper bound")
@@ -145,18 +145,14 @@ def powell_box_minimize(f, x0, lower, upper, ftol: float = 1e-8, max_iters: int 
 
     delta = rho = max(min(0.25, min(map(sub, upper, lower)) / 2.0), xtol)
     rho_end = min(xtol, rho)
+    if not math.isfinite(f0 := call(x0)):
+        raise ValueError(f"cost at the start point {list(x0)} is {f0}, not finite")
     stencil(x0)
-    reach = 2.0 * rho  # no finite cost near x0: probe the axes ever farther
-    while not pts and reach < max(map(sub, upper, lower)):
-        reach *= 2.0
-        if any(call(shifted(x0, i, t)) < math.inf for i in range(n) for t in (reach, -reach)):
-            stencil(pts[0][0])
-    iterations, converged, fitted = 1, False, -1
-    while pts:
+    iterations, fitted = 1, -1
+    while True:
         xb, fb = min(pts, key=itemgetter(1))
         if len(pts) >= full and all(
-                2.0 * abs(v - fb) <= ftol * (abs(v) + abs(fb) + 1e-12) for _, v in pts):
-            converged = True
+                2.0 * abs(v - fb) <= FTOL * (abs(v) + abs(fb) + 1e-12) for _, v in pts):
             break
         dist = [far(x, xb) for x, _ in pts]
         if fitted != len(seen):  # no new point, no new model
@@ -183,10 +179,9 @@ def powell_box_minimize(f, x0, lower, upper, ftol: float = 1e-8, max_iters: int 
             continue
         if len(pts) <= n and stencil(xb):  # too few points for a linear model
             continue
-        if rho <= rho_end or iterations >= max_iters:
-            converged = rho <= rho_end
+        if rho <= rho_end:
             break
         iterations, rho = iterations + 1, max(rho / 5.0, rho_end)
         delta = max(delta / 2.0, rho)
     best_x, best_f = min(seen.items(), key=itemgetter(1))
-    return PowellResult(np.asarray(best_x), best_f, iterations, list(seen.items()), converged)
+    return PowellResult(np.asarray(best_x), best_f, iterations, list(seen.items()))

@@ -217,11 +217,7 @@ def _loglik(scores, present, psi, delta, nu) -> float:
     return float(np.where(present, per_entry, 0.0).sum())
 
 
-def recover_mle(
-    matrix: ScoreMatrix,
-    method: str = "p913",
-    fixed_inconsistency: float | None = None,
-) -> SubjectModel:
+def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
     """Fit scores = psi[stimulus] + delta[subject] + nu[subject] * noise.
 
     Alternating coordinate maximum likelihood: stimulus qualities are
@@ -231,8 +227,7 @@ def recover_mle(
     is untouched. The first sweep starts from zero bias and unit
     inconsistency, so its psi is the plain mean; iterations counts it. The
     two presets run the same solver; the method name is recorded on the
-    result. fixed_inconsistency freezes nu at a constant for every subject
-    (useful for sensitivity checks).
+    result.
     """
     method = method.lower()
     if method not in ("p910", "p913"):
@@ -255,11 +250,8 @@ def recover_mle(
         w = np.where(present, (1.0 / nu**2)[:, None], 0.0)
         psi = (w * (scores - delta[:, None])).sum(axis=0) / w.sum(axis=0)
         delta = np.where(present, scores - psi[None, :], 0.0).sum(axis=1) / n_scored
-        if fixed_inconsistency is None:
-            resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
-            nu = np.maximum(np.sqrt((resid**2).sum(axis=1) / n_scored), NU_FLOOR)
-        else:
-            nu = np.full(n_subjects, max(fixed_inconsistency, NU_FLOOR))
+        resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
+        nu = np.maximum(np.sqrt((resid**2).sum(axis=1) / n_scored), NU_FLOOR)
         shift = float(delta.mean())
         delta = delta - shift
         psi = psi + shift

@@ -18,7 +18,6 @@ import pytest
 
 from perclip import (
     LambdaMultipliers,
-    OptimizationConfig,
     RdPoint,
     SyntheticBackend,
     SyntheticModel,
@@ -32,7 +31,6 @@ from perclip import (
     correlate,
     fit_logistic5,
     optimize_clip,
-    powell_minimize,
     read_scores_csv,
     recover_mle,
 )
@@ -40,6 +38,7 @@ from perclip.backends import EncodeRequest, synthetic_encode
 from perclip.cli import main as cli_main
 from perclip.curves import enforce_monotone
 from perclip.errors import TooFewPoints
+from perclip.powell import powell_box_minimize
 
 from conftest import (
     random_monotone_curve,
@@ -185,21 +184,23 @@ def test_criterion_05_optimizer_convergence(grid_scan):
 
 def test_criterion_06_powell_unit_minima():
     failures = []
+    # the default search box from (1, 1), resolved to 1e-4
+    box = (1.0, 1.0), (0.2, 0.2), (4.0, 4.0), 1e-4
     bowl = lambda x: (x[0] - 1.3) ** 2 + (x[1] - 0.8) ** 2
-    trace = powell_minimize(bowl, OptimizationConfig())
-    ks, _ = trace.best
-    if abs(ks.k1 - 1.3) >= 1e-4 or abs(ks.k2 - 0.8) >= 1e-4:
-        failures.append(f"bowl minimum at ({ks.k1:.6f}, {ks.k2:.6f})")
-    if len(trace.evaluations) >= 200:
-        failures.append(f"bowl used {len(trace.evaluations)} evaluations")
+    res = powell_box_minimize(bowl, *box)
+    k1, k2 = res.x
+    if abs(k1 - 1.3) >= 1e-4 or abs(k2 - 0.8) >= 1e-4:
+        failures.append(f"bowl minimum at ({k1:.6f}, {k2:.6f})")
+    if len(res.evaluations) >= 200:
+        failures.append(f"bowl used {len(res.evaluations)} evaluations")
 
     rosen = lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-    trace = powell_minimize(rosen, OptimizationConfig())
-    ks, _ = trace.best
-    if abs(ks.k1 - 1.0) >= 1e-3 or abs(ks.k2 - 1.0) >= 1e-3:
-        failures.append(f"rosenbrock minimum at ({ks.k1:.6f}, {ks.k2:.6f})")
-    if len(trace.evaluations) >= 200:
-        failures.append(f"rosenbrock used {len(trace.evaluations)} evaluations")
+    res = powell_box_minimize(rosen, *box)
+    k1, k2 = res.x
+    if abs(k1 - 1.0) >= 1e-3 or abs(k2 - 1.0) >= 1e-3:
+        failures.append(f"rosenbrock minimum at ({k1:.6f}, {k2:.6f})")
+    if len(res.evaluations) >= 200:
+        failures.append(f"rosenbrock used {len(res.evaluations)} evaluations")
     report(6, "powell unit minima", failures)
 
 

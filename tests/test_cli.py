@@ -106,14 +106,30 @@ class TestOptimizeCommand:
         assert code == 1
         assert "/missing/encoder" in capsys.readouterr().err
 
-    def test_iteration_cap_exits_2(self, tmp_path):
-        cfg = json.loads((DATA / "backend_synthetic.json").read_text())
-        cfg["optimizer"]["max_iters"] = 1
-        cfg["optimizer"]["ftol"] = 1e-15
+    def test_baseline_not_comparable_with_itself_exits_1(self, tmp_path, capsys):
+        # the stub encoder's output shrinks with qp; the metric is constant
+        enc, met = tmp_path / "enc.sh", tmp_path / "met.sh"
+        enc.write_text('#!/bin/sh\nhead -c $((1000 * (70 - $3))) /dev/zero > "$2"\n')
+        met.write_text('#!/bin/sh\necho \'{"ms_ssim": 5.0}\' > "$2"\n')
+        for script in (enc, met):
+            script.chmod(0o755)
+        cfg = {
+            "backend": {
+                "kind": "process",
+                "encode_template": f"{enc} {{input}} {{output}} {{qp}}",
+                "metric_template": f"{met} {{output}} {{stats}}",
+                "default_duration_s": 5.0,
+                "workdir": str(tmp_path),
+            },
+        }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code = run("--out", tmp_path, "optimize", "meadow", "--config", cfg_path)
-        assert code == 2
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "meadow" in err
+        assert not (tmp_path / "meadow.result.json").exists()
 
     def test_persistent_cache_reused(self, tmp_path):
         cache = tmp_path / "cache.json"
@@ -156,7 +172,12 @@ class TestOptimizeCommand:
          "backend.model: unknown key 'qmaxx'"),
         (lambda cfg: cfg["optimizer"].update(max_iter=1),
          "optimizer: unknown key 'max_iter'"),
-    ], ids=["model", "optimizer"])
+        # the search always starts at (1, 1) and has no tuning knobs
+        (lambda cfg: cfg["optimizer"].update(x0=[1.0, 1.0]), "optimizer: unknown key 'x0'"),
+        (lambda cfg: cfg["optimizer"].update(ftol=1e-6), "optimizer: unknown key 'ftol'"),
+        (lambda cfg: cfg["optimizer"].update(max_iters=20),
+         "optimizer: unknown key 'max_iters'"),
+    ], ids=["model", "optimizer", "x0", "ftol", "max_iters"])
     def test_unknown_config_key_exits_1(self, tmp_path, capsys, edit, message):
         cfg = json.loads((DATA / "backend_synthetic.json").read_text())
         edit(cfg)

@@ -15,13 +15,15 @@ from perclip import (
     OptimizationConfig,
     SyntheticBackend,
     SyntheticModel,
+    bd_rate,
     build_rd_curve,
     evaluate_cost,
     optimize_clip,
 )
 from perclip.backends import EncodeRequest, EncodeResult
-from perclip.errors import BackendFailure
-from perclip.optimizer import CachingEncoder
+from perclip.errors import BackendFailure, PerclipError
+from perclip.optimizer import K_RESOLUTION, CachingEncoder
+from perclip.powell import powell_box_minimize
 
 QPS = (27, 39, 49, 59, 63)
 
@@ -154,6 +156,26 @@ class TestEncodeCache:
             EncodeCache().load(path)
         assert str(path) in str(info.value)
 
+    def test_loaded_row_is_found_under_the_rounded_key(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps([["c", "native", "ms_ssim", 27, 1.0000004, 1.0, 100.0, 18.0]]))
+        cache = EncodeCache()
+        cache.load(path)
+        for ks in (LambdaMultipliers(1.0000004, 1.0), LambdaMultipliers(1.0, 1.0)):
+            assert cache.get(EncodeRequest(clip="c", qp=27, ks=ks)) == EncodeResult(100.0, 18.0)
+
+    def test_saved_file_loads_to_the_same_entries(self, tmp_path, backend):
+        cache = EncodeCache()
+        for k in (0.2, 1.0000004, 1.23456789, 3.9999996):
+            request = EncodeRequest(clip="c", qp=27, ks=LambdaMultipliers(k, 1.0 / k))
+            cache.put(request, backend.encode(request))
+        cache.save(tmp_path / "first.json")
+        fresh = EncodeCache()
+        fresh.load(tmp_path / "first.json")
+        fresh.save(tmp_path / "second.json")
+        assert len(fresh) == len(cache)
+        assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
     def test_valid_edge_rows_load(self, tmp_path):
         path = tmp_path / "edge.json"
         path.write_text(json.dumps([
@@ -251,7 +273,6 @@ class TestOptimizeClip:
         assert abs(ks.k2 - model.k_star[1]) < 0.05
         assert trace.best[1] < 0
         assert trace.evaluations[0].cost == 0.0  # start point is the baseline
-        assert not trace.hit_iteration_cap
         assert len(trace.evaluations) <= 45
 
     def test_optimum_beyond_box_reaches_clamped_cost(self):
@@ -269,14 +290,19 @@ class TestOptimizeClip:
         ks, _ = optimize_clip(backend, "clip")
         assert ks.k1 == 4.0
 
-    def test_confirming_iteration_probes_each_direction_at_most_twice(self, backend):
-        _, trace = optimize_clip(backend, "clip")
-        assert not trace.hit_iteration_cap and trace.iterations > 1
-        # the run capped one iteration earlier is the same run up to there
-        _, capped = optimize_clip(
-            backend, "clip", OptimizationConfig(max_iters=trace.iterations - 1))
-        assert trace.evaluations[: len(capped.evaluations)] == capped.evaluations
-        assert len(trace.evaluations) - len(capped.evaluations) <= 2 * 2
+    def test_confirming_iteration_probes_each_direction_at_most_twice(self, backend, baseline):
+        config = OptimizationConfig()
+
+        def cost(x):
+            ks = LambdaMultipliers(*map(float, x))
+            return evaluate_cost(backend, "clip", ks, baseline, config)
+
+        fine, coarse = (powell_box_minimize(cost, (1.0, 1.0), (0.2, 0.2), (4.0, 4.0), xtol)
+                        for xtol in (K_RESOLUTION, 2 * K_RESOLUTION))
+        assert fine.iterations > coarse.iterations
+        # the run that stops one resolution earlier is the same run up to there
+        assert fine.evaluations[: len(coarse.evaluations)] == coarse.evaluations
+        assert len(fine.evaluations) - len(coarse.evaluations) <= 2 * 2
 
     def test_byte_rounded_rate_spends_few_encodes(self):
         class ByteRounded(SyntheticBackend):
@@ -302,16 +328,6 @@ class TestOptimizeClip:
         _, trace = optimize_clip(backend, "clip", config)
         assert trace.encode_count <= 100
         assert abs(trace.best[1] - optimum) <= 0.01  # BD-rate pct-points
-
-    def test_start_with_infinite_cost_still_finds_the_optimum(self):
-        # x0's curve has no quality overlap with the baseline's, and neither
-        # have its neighbours; comparable points lie farther along both axes
-        backend = SyntheticBackend(SyntheticModel(k_star=(1.0, 6.0)))
-        config = OptimizationConfig(bounds=(0.5, 4.0), x0=(0.5, 4.0))
-        _, trace = optimize_clip(backend, "clip", config)
-        assert math.isinf(trace.evaluations[0].cost)
-        assert math.isfinite(trace.best[1])
-        assert abs(trace.best[1] - -92.129) <= 0.01  # BD-rate pct-points
 
     def test_optimum_on_the_edge_of_comparable_curves(self):
         # the cost falls toward the edge of the region where the candidate's
@@ -365,6 +381,26 @@ class TestOptimizeClip:
         assert math.isfinite(trace.best[1])
         assert any(math.isinf(e.cost) for e in trace.evaluations) or ks.k1 <= 3.0
 
+    def test_baseline_not_comparable_with_itself_is_fatal(self):
+        class Flat(SyntheticBackend):
+            """Every encode has the same quality, so no curve has a quality
+            interval to integrate over."""
+
+            encodes = 0
+
+            def encode(self, request):
+                self.encodes += 1
+                return EncodeResult(rate=super().encode(request).rate, quality=5.0)
+
+        baseline = build_rd_curve(Flat(), "meadow", LambdaMultipliers(1.0, 1.0), QPS)
+        with pytest.raises(PerclipError) as expected:
+            bd_rate(baseline, baseline)
+        backend = Flat()
+        with pytest.raises(PerclipError, match="meadow") as raised:
+            optimize_clip(backend, "meadow")
+        assert type(raised.value) is type(expected.value)
+        assert backend.encodes == len(QPS)
+
     def test_broken_baseline_is_fatal(self):
         class Broken(SyntheticBackend):
             def encode(self, request):
@@ -380,15 +416,14 @@ class TestOptimizeClipProperties:
         k_star=st.tuples(st.floats(0.1, 6.0), st.floats(0.1, 6.0)),
         lo=st.floats(0.1, 0.9),
         hi=st.floats(1.1, 5.0),
-        start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     )
-    def test_stays_in_box_never_worse_than_start_and_repeats(self, k_star, lo, hi, start):
-        x0 = tuple(min(hi, lo + s * (hi - lo)) for s in start)
-        config = OptimizationConfig(bounds=(lo, hi), x0=x0)
+    def test_stays_in_box_never_worse_than_start_and_repeats(self, k_star, lo, hi):
+        config = OptimizationConfig(bounds=(lo, hi))
         backend = SyntheticBackend(SyntheticModel(k_star=k_star))
         _, trace = optimize_clip(backend, "clip", config)
         for e in trace.evaluations:
             assert lo <= e.ks.k1 <= hi and lo <= e.ks.k2 <= hi
-        assert trace.evaluations[0].ks == LambdaMultipliers(*x0)
-        assert trace.best[1] <= trace.evaluations[0].cost
+        start = trace.evaluations[0]
+        assert (start.ks, start.cost) == (LambdaMultipliers(1.0, 1.0), 0.0)
+        assert trace.best[1] <= 0.0
         assert optimize_clip(backend, "clip", config)[1] == trace

@@ -419,10 +419,9 @@ class TestRecoverMle:
         diffs = np.diff(model.loglik_trace)
         assert np.all(diffs >= -1e-9 * max(1.0, abs(model.loglik)))
 
-    @pytest.mark.parametrize("fixed", [None, 3.0])
-    def test_iterations_count_every_sweep(self, fixed):
+    def test_iterations_count_every_sweep(self):
         matrix, _, _, _ = simulate_biased_scores(21)
-        model = recover_mle(matrix, fixed_inconsistency=fixed)
+        model = recover_mle(matrix)
         assert model.iterations == len(model.loglik_trace)
 
     def test_constant_shift_moves_psi_only(self):
@@ -439,13 +438,6 @@ class TestRecoverMle:
         assert np.allclose(np.array(moved.psi) - np.array(base.psi), 7.0, atol=1e-6)
         assert np.allclose(moved.delta, base.delta, atol=1e-6)
         assert np.allclose(moved.nu, base.nu, atol=1e-6)
-
-    def test_fixed_equal_inconsistency_reproduces_mos(self):
-        matrix, _, _, _ = simulate_biased_scores(17, bias_half_range=0.0)
-        model = recover_mle(matrix, fixed_inconsistency=3.0)
-        mos = compute_mos(matrix)
-        for pvs, psi in zip(matrix.stimuli, model.psi):
-            assert psi == pytest.approx(mos[pvs].mos, abs=1e-9)
 
     def test_ci_from_subject_information(self):
         matrix, _, _, _ = simulate_biased_scores(19)
