@@ -7,7 +7,11 @@ kept non-decreasing by the parameter bounds b1, b2, b4 >= 0 and fitted by
 bounded trust-region-reflective least squares (scipy.optimize.least_squares).
 Rank coefficients come from scipy.stats: average ranks for ties (rankdata,
 Spearman) and the tie-corrected tau-b (kendalltau, Knight's O(n log n)
-merge count).
+merge count). The logistic itself uses scipy.special.expit.
+
+Each scipy routine is imported inside the function that calls it, not at
+module level: scipy takes over a second to import, and importing perclip
+or its CLI must not pay that for subcommands that never correlate.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import expit
-from scipy.stats import kendalltau, rankdata
 
 from .errors import DegenerateInput, FitDiverged, NonFiniteValue, TooFewPoints
 from .powell import powell_box_minimize  # only perfbench/spans.py reads this name
@@ -33,6 +34,8 @@ class LogisticParams:
     b5: float
 
     def __call__(self, values) -> np.ndarray:
+        from scipy.special import expit
+
         x = np.asarray(values, dtype=float)
         z = self.b2 * (x - self.b3)
         return self.b1 * (expit(z) - 0.5) + self.b4 * x + self.b5
@@ -84,6 +87,8 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
     1999) over parameters scaled to the unit box. The result is never worse,
     in squared error, than the best non-decreasing line.
     """
+    from scipy.optimize import least_squares
+
     x, y = _finite_pairs(objective, subjective)
     if len(x) < 6:
         raise TooFewPoints(f"need >= 6 pairs to fit, got {len(x)}")
@@ -123,6 +128,8 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
 
 def average_ranks(values) -> np.ndarray:
     """Ranks starting at 1; tied values share the mean of their positions."""
+    from scipy.stats import rankdata
+
     return rankdata(values, method="average")
 
 
@@ -140,6 +147,8 @@ def pearson(x, y) -> float:
 
 def kendall_tau_b(x, y) -> float:
     """Tie-corrected Kendall rank correlation (tau-b)."""
+    from scipy.stats import kendalltau
+
     tau = float(kendalltau(x, y).statistic)
     if math.isnan(tau):
         raise DegenerateInput("all values tied on one side")

@@ -169,15 +169,16 @@ class CachingEncoder(EncoderBackend):
 
     def encode_many(self, requests) -> list[EncodeResult]:
         """Answer hits from the cache and send the misses, in request order,
-        to the wrapped backend as one batch."""
+        to the wrapped backend as one batch. The misses count as issued
+        even when the batch fails."""
         results = [self.cache.get(r) for r in requests]
         misses = [i for i, res in enumerate(results) if res is None]
         if misses:
+            self.encodes_issued += len(misses)
             fresh = self.backend.encode_many([requests[i] for i in misses])
             for i, res in zip(misses, fresh):
                 self.cache.put(requests[i], res)
                 results[i] = res
-            self.encodes_issued += len(misses)
         return results
 
 

@@ -36,6 +36,44 @@ def assert_matches_golden(out: Path, name: str) -> None:
         assert (out / file).read_bytes() == (golden / file).read_bytes(), file
 
 
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports perclip from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+# Imports perclip, then runs main on each argv of the JSON list in argv[1];
+# its last stdout line is a JSON list with, per step, the exit code (None
+# for the import) and the scipy modules loaded so far.
+COLD_START = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+import perclip
+steps = [[None, scipy_modules()]]
+from perclip.cli import main
+for argv in json.loads(sys.argv[1]):
+    steps.append([main(argv), scipy_modules()])
+print(json.dumps(steps))
+"""
+
+
+def cold_start(*argvs) -> list[tuple[int | None, list[str]]]:
+    """[(exit code, scipy modules loaded)] after import perclip and after
+    each main(argv), all in one fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps([[str(a) for a in argv] for argv in argvs])],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(step) for step in json.loads(proc.stdout.splitlines()[-1])]
+
+
 def write_curve_variant(path: Path, edit) -> Path:
     """meadow's default curve file with edit applied to its parsed JSON."""
     doc = json.loads((DATA / "curves" / "meadow__default.curve.json").read_text())
@@ -238,13 +276,9 @@ class TestOptimizeCommand:
         assert err.startswith(f"error: {cfg_path}: ")
 
     def test_python_m_runs_the_cli(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "perclip.cli", "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=src_env(), timeout=60,
         )
         assert proc.returncode == 0
         assert "optimize" in proc.stdout
@@ -648,3 +682,30 @@ class TestDeterminism:
         assert manifest["exit_code"] == 0
         for out in manifest["outputs"]:
             assert Path(out).exists()
+
+
+class TestColdStart:
+    """scipy costs over a second to import, so each subcommand loads only
+    the parts of it that it calls."""
+
+    def test_optimize_bd_report_load_no_scipy(self, tmp_path):
+        steps = cold_start(
+            ["--out", tmp_path / "opt", "optimize", "meadow", "harbor", "lanterns",
+             "--config", DATA / "backend_synthetic.json"],
+            ["--out", tmp_path / "bd", "bd", DATA / "curves" / "meadow__default.curve.json",
+             DATA / "curves" / "meadow__tuned.curve.json"],
+            ["--out", tmp_path / "rep", "report", *sorted((DATA / "curves").glob("*.curve.json"))],
+        )
+        assert steps == [(None, []), (0, []), (0, []), (0, [])]
+
+    def test_scores_loads_only_scipy_special(self, tmp_path):
+        steps = cold_start(
+            ["--out", tmp_path, "scores", DATA / "scores.csv", "--screen",
+             "--recover", "p913", "--pairing", DATA / "pairing.csv"],
+        )
+        assert steps[0] == (None, [])
+        code, modules = steps[1]
+        assert code == 0
+        assert "scipy.special" in modules
+        for package in ("scipy.stats", "scipy.optimize"):
+            assert not [m for m in modules if m == package or m.startswith(package + ".")]

@@ -381,6 +381,25 @@ class TestOptimizeClip:
         assert math.isfinite(trace.best[1])
         assert any(math.isinf(e.cost) for e in trace.evaluations) or ks.k1 <= 3.0
 
+    def test_failed_batch_counts_its_encodes(self):
+        class FailsLastQp(SyntheticBackend):
+            """qp 63, the last of each batch, fails when k1 > 1.2."""
+
+            calls = 0
+
+            def encode(self, request):
+                self.calls += 1
+                if request.qp == 63 and request.ks.k1 > 1.2:
+                    raise BackendFailure("simulated crash")
+                return super().encode(request)
+
+        backend = FailsLastQp()
+        _, trace = optimize_clip(backend, "clip")
+        failed = [e for e in trace.evaluations if math.isinf(e.cost)]
+        assert failed
+        assert not any(e.cache_hit for e in failed)
+        assert trace.encode_count == backend.calls
+
     def test_baseline_not_comparable_with_itself_is_fatal(self):
         class Flat(SyntheticBackend):
             """Every encode has the same quality, so no curve has a quality

@@ -269,6 +269,16 @@ class TestComputeMos:
         assert entry.ci95 == pytest.approx(12.706204736 * math.sqrt(200) / math.sqrt(2), rel=1e-9)
         assert entry.ci95 == pytest.approx(127.06, abs=0.01)
 
+    def test_quantile_is_bitwise_the_t_distribution_ppf(self):
+        # compute_mos takes its quantile from scipy.special.stdtrit, which
+        # imports much faster than scipy.stats
+        from scipy.special import stdtrit
+
+        n = range(2, 5000)
+        got = np.array([stdtrit(k - 1, 0.975) for k in n])
+        want = student_t.ppf(0.975, np.array(n) - 1)
+        assert got.tobytes() == want.tobytes()
+
     def test_missing_entry_decrements_n(self):
         m = make_matrix([[60.0, 10.0], [80.0, 20.0], [np.nan, 30.0]])
         table = compute_mos(m)
