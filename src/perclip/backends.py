@@ -72,9 +72,17 @@ class EncoderBackend(abc.ABC):
         raise NotImplementedError
 
     def encode_many(self, requests) -> list[EncodeResult]:
-        """Results in request order. A BackendFailure is re-raised with the
-        qp of the request that failed."""
-        return [_encode_labelled(self.encode, r) for r in requests]
+        """Results in request order. Every request is attempted; then the
+        first BackendFailure, in request order, is re-raised with its qp."""
+        results, failures = [], []
+        for r in requests:
+            try:
+                results.append(_encode_labelled(self.encode, r))
+            except BackendFailure as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return results
 
 
 @dataclass(frozen=True)

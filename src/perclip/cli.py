@@ -38,12 +38,10 @@ from .subjective import (
 
 def fmt(value) -> str:
     """Fixed CSV cell formatting: 6 significant digits for floats."""
+    if isinstance(value, float):  # first: nearly every cell is a float
+        return "0" if value == 0.0 else f"{value:.6g}"
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        if value == 0.0:
-            return "0"
-        return f"{value:.6g}"
     return str(value)
 
 
@@ -51,8 +49,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],

@@ -4,10 +4,10 @@ plus Pearson/Spearman/Kendall correlation reporting.
 The mapping is the five-parameter logistic
     mapped = b1 * (1/2 - 1/(1 + exp(b2 * (x - b3)))) + b4 * x + b5
 kept non-decreasing by the parameter bounds b1, b2, b4 >= 0 and fitted by
-bounded trust-region-reflective least squares (scipy.optimize.least_squares).
-Rank coefficients come from scipy.stats: average ranks for ties (rankdata,
-Spearman) and the tie-corrected tau-b (kendalltau, Knight's O(n log n)
-merge count). The logistic itself uses scipy.special.expit.
+bounded trust-region-reflective least squares (scipy.optimize.least_squares)
+given its analytic Jacobian. Rank coefficients come from scipy.stats: average
+ranks for ties (rankdata, Spearman) and the tie-corrected tau-b (kendalltau,
+Knight's O(n log n) merge count). The logistic uses scipy.special.expit.
 
 Each scipy routine is imported inside the function that calls it, not at
 module level: scipy takes over a second to import, and importing perclip
@@ -84,10 +84,11 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
 
     Deterministic start (mid-range inflection, gentle slope), refined by
     bounded trust-region-reflective least squares (Branch, Coleman & Li
-    1999) over parameters scaled to the unit box. The result is never worse,
-    in squared error, than the best non-decreasing line.
+    1999) over parameters scaled to the unit box, given the analytic
+    Jacobian. Never worse, in squared error, than the best non-decreasing line.
     """
     from scipy.optimize import least_squares
+    from scipy.special import expit
 
     x, y = _finite_pairs(objective, subjective)
     if len(x) < 6:
@@ -111,13 +112,20 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
     )
     span = upper - lower
 
-    def unscale(theta: np.ndarray) -> LogisticParams:
-        p = lower + theta * span
-        return LogisticParams(*(float(v) for v in p))
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        b1, b2, b3, b4, b5 = lower + theta * span
+        return b1 * (expit(b2 * (x - b3)) - 0.5) + b4 * x + b5 - y
 
-    result = least_squares(lambda theta: unscale(theta)(x) - y, (start - lower) / span,
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        # d/db of the logistic, times span for the unit-box scaling
+        b1, b2, b3, _, _ = lower + theta * span
+        s = expit(b2 * (x - b3))
+        slope = b1 * s * (1.0 - s)
+        return np.column_stack((s - 0.5, slope * (x - b3), -slope * b2, x, np.ones_like(x))) * span
+
+    result = least_squares(residuals, (start - lower) / span, jac=jacobian,
                            bounds=(0.0, 1.0), method="trf")
-    fitted = unscale(result.x)
+    fitted = LogisticParams(*(float(v) for v in lower + result.x * span))
     baseline = _linear_fallback(x, y, b3=float(np.median(x)))
     if _sse(baseline, x, y) < _sse(fitted, x, y):
         fitted = baseline

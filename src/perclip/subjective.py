@@ -4,16 +4,16 @@ inconsistency.
 
 Scores live in a subject x stimulus matrix on the [0, 100] continuous
 scale, with NaN marking missing entries. Every estimator sums over present
-entries only; nothing is imputed.
+entries only; nothing is imputed. compute_mos reduces the stimuli that share
+a score count as the rows of one array, bitwise the per-stimulus sums, and
+recover_mle takes its log-likelihood from per-subject residual sums.
 
-Ingestion is columnar and builds no Python object per row: one csv.reader
-pass appends the subject, stimulus and raw score cells to one list each
-(optional columns to one list each, when the header has them), the scores
-convert in one np.fromiter call and are validated by one vectorised range
-check. Only when that check fails are the rows walked again, to name the
-first offending line. build_score_matrix maps ids to indices in bulk,
-finds repeated (subject, stimulus) pairs with np.unique and fills the
-matrix with one scatter.
+Ingestion is columnar: one csv.reader pass appends the subject ids, the
+stimulus ids (one str per distinct id) and the raw score cells to one list
+each, optional columns likewise; the scores convert in one np.fromiter call
+and pass one vectorised range check. Only when it fails are the rows walked
+again, to name the first offending line. build_score_matrix scatters the
+scores in bulk and runs np.unique only to name a repeated pair.
 """
 
 from __future__ import annotations
@@ -133,23 +133,23 @@ def compute_mos(matrix: ScoreMatrix) -> MosTable:
     # every df below 5000 (a test pins it)
     from scipy.special import stdtrit
 
-    entries: dict[str, MosEntry] = {}
-    t975: dict[int, float] = {}  # Student-t quantile by score count
-    # the ufunc calls np.mean and np.std(ddof=1) make, without their
-    # wrappers: the results are bitwise the same
-    for pvs, col, present in zip(matrix.stimuli, matrix.scores.T, matrix.present.T):
-        vals = col[present]
-        n = int(vals.size)
-        if n < 2:
-            raise TooFewRaters(f"stimulus {pvs!r} has {n} score(s)")
-        if n not in t975:
-            t975[n] = stdtrit(n - 1, 0.975)
-        mean = vals.sum() / n
-        d = vals - mean
-        s = math.sqrt((d * d).sum() / (n - 1))
-        ci = float(t975[n] * s / math.sqrt(n))
-        entries[pvs] = MosEntry(mos=float(mean), ci95=ci, n=n)
-    return MosTable(entries=entries)
+    present = matrix.present
+    counts = present.sum(axis=0)
+    if np.any(counts < 2):
+        j = int(np.argmax(counts < 2))
+        raise TooFewRaters(f"stimulus {matrix.stimuli[j]!r} has {counts[j]} score(s)")
+    mean, ci = np.empty((2, counts.size))
+    # The stimuli with n scores are the rows of one (k, n) array. A sum along
+    # that contiguous axis adds each row in the order a 1-d sum of the row
+    # does, so the results are bitwise per-stimulus np.mean and np.std(ddof=1).
+    for n in np.unique(counts):
+        cols = np.flatnonzero(counts == n)
+        vals = matrix.scores[:, cols].T[present[:, cols].T].reshape(cols.size, n)
+        mean[cols] = m = vals.sum(axis=1) / n
+        d = vals - m[:, None]
+        ci[cols] = stdtrit(n - 1, 0.975) * np.sqrt((d * d).sum(axis=1) / (n - 1)) / math.sqrt(n)
+    return MosTable(entries={pvs: MosEntry(mos=float(m), ci95=float(c), n=int(n))
+                             for pvs, m, c, n in zip(matrix.stimuli, mean, ci, counts)})
 
 
 def compute_dmos(mos: MosTable, pairing: dict[str, str]) -> MosTable:
@@ -187,8 +187,9 @@ def bt500_screen(matrix: ScoreMatrix) -> ScreeningReport:
     mean = np.nanmean(scores, axis=0)
     std = np.nanstd(scores, axis=0, ddof=1)
     centered = np.where(present, scores - mean, 0.0)
-    m2 = (centered**2).sum(axis=0) / n_per_stim
-    m4 = (centered**4).sum(axis=0) / n_per_stim
+    c2 = centered * centered
+    m2 = c2.sum(axis=0) / n_per_stim
+    m4 = (c2 * c2).sum(axis=0) / n_per_stim
     with np.errstate(divide="ignore", invalid="ignore"):
         beta2 = np.where(m2 > 0.0, m4 / np.where(m2 > 0.0, m2, 1.0) ** 2, 0.0)
     threshold = np.where((beta2 >= 2.0) & (beta2 <= 4.0), 2.0 * std, math.sqrt(20.0) * std)
@@ -212,13 +213,6 @@ def bt500_screen(matrix: ScoreMatrix) -> ScreeningReport:
         if ratio > 0.05 and asym < 0.3:
             rejected.append(subj)
     return ScreeningReport(rejected=tuple(rejected), per_subject=per_subject)
-
-
-def _loglik(scores, present, psi, delta, nu) -> float:
-    resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
-    var = nu[:, None] ** 2
-    per_entry = -0.5 * (np.log(2.0 * math.pi * var) + resid**2 / var)
-    return float(np.where(present, per_entry, 0.0).sum())
 
 
 def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
@@ -255,11 +249,14 @@ def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
         psi = (w * (scores - delta[:, None])).sum(axis=0) / w.sum(axis=0)
         delta = np.where(present, scores - psi[None, :], 0.0).sum(axis=1) / n_scored
         resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
-        nu = np.maximum(np.sqrt((resid**2).sum(axis=1) / n_scored), NU_FLOOR)
+        rss = (resid**2).sum(axis=1)
+        nu = np.maximum(np.sqrt(rss / n_scored), NU_FLOOR)
         shift = float(delta.mean())
         delta = delta - shift
         psi = psi + shift
-        trace.append(_loglik(scores, present, psi, delta, nu))
+        # the log-likelihood from each subject's residual sum (recentring keeps it)
+        var = nu**2
+        trace.append(float(-0.5 * (n_scored * np.log(2.0 * math.pi * var) + rss / var).sum()))
         change = max(
             float(np.abs(psi - psi_old).max()),
             float(np.abs(delta - delta_old).max()),
@@ -319,11 +316,13 @@ def read_scores_csv(path) -> ScoreTable:
         meta = {name: [] for name in columns if name not in required}
         extra = [(meta[name].append, columns[name]) for name in meta]
         add_subject, add_pvs, add_raw = subjects.append, pvs.append, raw.append
+        # one str object per distinct id, not one per row
+        subject_id, pvs_id = {}.setdefault, {}.setdefault
         for rec in filter(None, reader):
             if len(rec) < width:
                 rec += pad[len(rec):]
-            add_subject(rec[i_subject])
-            add_pvs(rec[i_pvs])
+            add_subject(subject_id(rec[i_subject], rec[i_subject]))
+            add_pvs(pvs_id(rec[i_pvs], rec[i_pvs]))
             add_raw(rec[i_score])
             for add, i in extra:
                 add(rec[i])
@@ -365,16 +364,18 @@ def build_score_matrix(table: ScoreTable) -> ScoreMatrix:
     rows = np.fromiter(map(s_idx.__getitem__, table.subject_ids), np.intp, n)
     cols = np.fromiter(map(e_idx.__getitem__, table.pvs_ids), np.intp, n)
     flat = rows * len(e_idx) + cols
-    _, first = np.unique(flat, return_index=True)
-    if first.size < n:
+    scores = np.full(len(s_idx) * len(e_idx), np.nan)
+    scores[flat] = table.scores
+    filled = np.zeros(scores.size, dtype=bool)
+    filled[flat] = True
+    if np.count_nonzero(filled) < n:  # some pair has more than one row
+        _, first = np.unique(flat, return_index=True)
         repeat = np.ones(n, dtype=bool)
         repeat[first] = False
         k = int(np.argmax(repeat))  # the first row whose pair came before
         raise ValueError(
             f"duplicate score for ({table.subject_ids[k]}, {table.pvs_ids[k]})"
         )
-    scores = np.full(len(s_idx) * len(e_idx), np.nan)
-    scores[flat] = table.scores
     return ScoreMatrix(
         subjects=tuple(s_idx),
         stimuli=tuple(e_idx),

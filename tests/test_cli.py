@@ -494,6 +494,11 @@ class TestScoresCommand:
 
 
 class TestCorrelateCommand:
+    def test_shipped_data_matches_golden_outputs(self, tmp_path):
+        code = run("--out", tmp_path, "correlate", DATA / "metrics.csv", DATA / "subjective.csv")
+        assert code == 0
+        assert_matches_golden(tmp_path, "correlate")
+
     def test_monotone_metric_correlates(self, tmp_path):
         code = run(
             "--out", tmp_path, "correlate",

@@ -39,6 +39,44 @@ def brute_force_spearman(x, y):
     return pearson(average_ranks(x), average_ranks(y))
 
 
+SHIPPED_METRICS = ("msssim_db", "psnr_y_db", "pvqm")
+
+
+def shipped_pairs(column):
+    """One data/metrics.csv column and the matching data/subjective.csv scores."""
+    with open(DATA / "subjective.csv", newline="") as fh:
+        subjective = {r["pvs_id"]: float(r["subjective"]) for r in csv.DictReader(fh)}
+    with open(DATA / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    x = np.array([float(r[column]) for r in rows])
+    y = np.array([subjective[r["pvs_id"]] for r in rows])
+    return x, y
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Records each scipy least_squares call fit_logistic5 makes: its
+    residual function, its jac argument and how often the solver evaluated
+    the residuals (finite-difference steps included)."""
+    import scipy.optimize
+
+    real = scipy.optimize.least_squares
+    calls = []
+
+    def recording(fun, x0, jac="2-point", **kwargs):
+        call = {"fun": fun, "jac": jac, "residual_calls": 0}
+        calls.append(call)
+
+        def counted(theta):
+            call["residual_calls"] += 1
+            return fun(theta)
+
+        return real(counted, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+    return calls
+
+
 class TestRanks:
     def test_simple_ranks(self):
         assert list(average_ranks([30, 10, 20])) == [3, 1, 2]
@@ -165,18 +203,39 @@ class TestFitLogistic5:
         ("msssim_db", 39.3915972),
         ("psnr_y_db", 857.377133),
         ("pvqm", 15.5617710),
-    ], ids=["msssim_db", "psnr_y_db", "pvqm"])
+    ], ids=SHIPPED_METRICS)
     def test_shipped_metrics_fit_no_worse_than_before(self, column, seed_sse):
         # seed_sse: the squared error of the bounded trust-region least-squares
         # fit (the Powell search it replaced reached 42.0878, 857.4697 and
         # 20.0223); a later change of solver may not cost accuracy
-        with open(DATA / "subjective.csv", newline="") as fh:
-            subjective = {r["pvs_id"]: float(r["subjective"]) for r in csv.DictReader(fh)}
-        with open(DATA / "metrics.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        x = np.array([float(r[column]) for r in rows])
-        y = np.array([subjective[r["pvs_id"]] for r in rows])
+        x, y = shipped_pairs(column)
         assert _sse(fit_logistic5(x, y), x, y) <= seed_sse * (1 + 1e-6)
+
+    @pytest.mark.parametrize("column", SHIPPED_METRICS)
+    def test_analytic_jacobian_matches_central_differences(self, rng, solver_calls, column):
+        fit_logistic5(*shipped_pairs(column))
+        (call,) = solver_calls
+        fun, jac = call["fun"], call["jac"]
+        assert callable(jac)
+        h = 1e-6
+        for theta in rng.uniform(0.0, 1.0, size=(50, 5)):
+            analytic = jac(theta)
+            central = np.column_stack([
+                (fun(theta + h * e) - fun(theta - h * e)) / (2 * h) for e in np.eye(5)
+            ])
+            # per column, plus the rounding error of the differences, which
+            # dominates where a steep logistic saturates and the column is tiny
+            rounding = 4 * np.sqrt(len(central)) * np.finfo(float).eps * np.abs(fun(theta)).max() / h
+            err = np.linalg.norm(analytic - central, axis=0)
+            assert np.all(err <= 1e-6 * np.linalg.norm(central, axis=0) + rounding), (theta, err)
+
+    def test_shipped_metrics_fit_within_residual_budget(self, solver_calls):
+        # pins the solver's work: 913 residual evaluations with the 2-point
+        # finite-difference Jacobian, 178 with the analytic one
+        for column in SHIPPED_METRICS:
+            fit_logistic5(*shipped_pairs(column))
+        assert len(solver_calls) == len(SHIPPED_METRICS)
+        assert sum(c["residual_calls"] for c in solver_calls) <= 250
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", [0, 1])

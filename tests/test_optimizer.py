@@ -381,23 +381,34 @@ class TestOptimizeClip:
         assert math.isfinite(trace.best[1])
         assert any(math.isinf(e.cost) for e in trace.evaluations) or ks.k1 <= 3.0
 
+    class FailsOneQp(SyntheticBackend):
+        """Counts its encodes; qp bad_qp fails whenever k1 > 1.2."""
+
+        def __init__(self, bad_qp):
+            super().__init__()
+            self.bad_qp = bad_qp
+            self.calls = 0
+
+        def encode(self, request):
+            self.calls += 1
+            if request.qp == self.bad_qp and request.ks.k1 > 1.2:
+                raise BackendFailure("simulated crash")
+            return super().encode(request)
+
     def test_failed_batch_counts_its_encodes(self):
-        class FailsLastQp(SyntheticBackend):
-            """qp 63, the last of each batch, fails when k1 > 1.2."""
-
-            calls = 0
-
-            def encode(self, request):
-                self.calls += 1
-                if request.qp == 63 and request.ks.k1 > 1.2:
-                    raise BackendFailure("simulated crash")
-                return super().encode(request)
-
-        backend = FailsLastQp()
+        backend = self.FailsOneQp(63)  # the last qp of each batch
         _, trace = optimize_clip(backend, "clip")
         failed = [e for e in trace.evaluations if math.isinf(e.cost)]
         assert failed
         assert not any(e.cache_hit for e in failed)
+        assert trace.encode_count == backend.calls
+
+    def test_batch_failing_at_its_first_qp_still_encodes_the_rest(self):
+        # the serial encode_many attempts every request before it raises,
+        # as ProcessBackend does, so every miss counted as issued was run
+        backend = self.FailsOneQp(27)
+        _, trace = optimize_clip(backend, "clip")
+        assert any(math.isinf(e.cost) for e in trace.evaluations)
         assert trace.encode_count == backend.calls
 
     def test_baseline_not_comparable_with_itself_is_fatal(self):

@@ -112,6 +112,59 @@ def rowwise_compute_mos(matrix) -> dict[str, MosEntry]:
     return entries
 
 
+def sweep_recover_mle(matrix, max_sweeps=10_000):
+    """The P.913 sweep with the log-likelihood taken over every matrix
+    entry, as recover_mle computed it before it reused the per-subject
+    residual sums. Returns psi, delta, nu and the log-likelihood trace."""
+    present = matrix.present
+    scores = np.where(present, matrix.scores, 0.0)
+    n_scored = present.sum(axis=1).astype(float)
+    psi = np.zeros(len(matrix.stimuli))
+    delta = np.zeros(len(matrix.subjects))
+    nu = np.ones(len(matrix.subjects))
+    trace = []
+    for _ in range(max_sweeps):
+        psi_old, delta_old, nu_old = psi, delta, nu
+        w = np.where(present, (1.0 / nu**2)[:, None], 0.0)
+        psi = (w * (scores - delta[:, None])).sum(axis=0) / w.sum(axis=0)
+        delta = np.where(present, scores - psi[None, :], 0.0).sum(axis=1) / n_scored
+        resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
+        nu = np.maximum(np.sqrt((resid**2).sum(axis=1) / n_scored), 0.1)
+        shift = float(delta.mean())
+        delta = delta - shift
+        psi = psi + shift
+        resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
+        var = nu[:, None] ** 2
+        per_entry = -0.5 * (np.log(2.0 * math.pi * var) + resid**2 / var)
+        trace.append(float(np.where(present, per_entry, 0.0).sum()))
+        change = max(float(np.abs(psi - psi_old).max()),
+                     float(np.abs(delta - delta_old).max()),
+                     float(np.abs(nu - nu_old).max()))
+        if change < 1e-8:
+            return psi, delta, nu, trace
+    raise AssertionError("no convergence")
+
+
+@st.composite
+def sparse_panels(draw, max_subjects=24, max_stimuli=30):
+    """A ScoreMatrix with missing entries, so that the score counts of the
+    stimuli spread from 2 up to the number of subjects; every subject
+    scores at least two stimuli."""
+    n_subjects = draw(st.integers(2, max_subjects))
+    n_stimuli = draw(st.integers(2, max_stimuli))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    presence = rng.uniform(0.0, 1.0, n_stimuli)  # per stimulus
+    present = rng.random((n_subjects, n_stimuli)) < presence
+    for j in range(n_stimuli):
+        present[rng.choice(n_subjects, 2, replace=False), j] = True
+    for i in range(n_subjects):
+        present[i, rng.choice(n_stimuli, 2, replace=False)] = True
+    quality = rng.uniform(0, 100, n_stimuli)
+    scores = quality + rng.normal(0, rng.uniform(0.5, 20), (n_subjects, n_stimuli))
+    scores = np.clip(np.round(scores, draw(st.integers(0, 17))), 0, 100)
+    return make_matrix(np.where(present, scores, np.nan))
+
+
 LINE_DEFECTS = ("text", "nan", "inf", "empty_score", "above", "below", "empty_subject",
                 "empty_pvs", "score_and_id")
 DEFECTS = (*LINE_DEFECTS, "duplicate", "conflicting_cohort", "no_cohort")
@@ -279,6 +332,11 @@ class TestComputeMos:
         want = student_t.ppf(0.975, np.array(n) - 1)
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=sparse_panels())
+    def test_grouped_by_count_is_bitwise_the_per_stimulus_loop(self, matrix):
+        assert compute_mos(matrix).entries == rowwise_compute_mos(matrix)
+
     def test_missing_entry_decrements_n(self):
         m = make_matrix([[60.0, 10.0], [80.0, 20.0], [np.nan, 30.0]])
         table = compute_mos(m)
@@ -429,6 +487,17 @@ class TestRecoverMle:
         diffs = np.diff(model.loglik_trace)
         assert np.all(diffs >= -1e-9 * max(1.0, abs(model.loglik)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=sparse_panels())
+    def test_sweep_is_bitwise_the_full_matrix_sweep(self, matrix):
+        psi, delta, nu, trace = sweep_recover_mle(matrix)
+        model = recover_mle(matrix)
+        assert np.array(model.psi).tobytes() == psi.tobytes()
+        assert np.array(model.delta).tobytes() == delta.tobytes()
+        assert np.array(model.nu).tobytes() == nu.tobytes()
+        assert model.iterations == len(trace)
+        np.testing.assert_allclose(model.loglik_trace, trace, rtol=1e-12, atol=0)
+
     def test_iterations_count_every_sweep(self):
         matrix, _, _, _ = simulate_biased_scores(21)
         model = recover_mle(matrix)
@@ -501,6 +570,17 @@ class TestCsvIngestion:
         assert matrix.stimuli == ("src_a", "dist_a")
         assert matrix.scores[0, 1] == 70.0
         assert subject_cohorts(rows, "cohort") == {"s1": "expert", "s2": "naive"}
+
+    def test_equal_ids_share_one_string(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("subject_id,pvs_id,score\n" + "".join(
+            f"subj{i},pvs{j},50\n" for i in range(3) for j in range(4)))
+        table = read_scores_csv(path)
+        for ids in (table.subject_ids, table.pvs_ids):
+            first = {}
+            for v in ids:
+                assert first.setdefault(v, v) is v
+            assert len({id(v) for v in ids}) == len(first)
 
     def test_malformed_score_names_line(self, tmp_path):
         path = tmp_path / "scores.csv"
