@@ -139,9 +139,8 @@ def compute_mos(matrix: ScoreMatrix) -> MosTable:
         j = int(np.argmax(counts < 2))
         raise TooFewRaters(f"stimulus {matrix.stimuli[j]!r} has {counts[j]} score(s)")
     mean, ci = np.empty((2, counts.size))
-    # The stimuli with n scores are the rows of one (k, n) array. A sum along
-    # that contiguous axis adds each row in the order a 1-d sum of the row
-    # does, so the results are bitwise per-stimulus np.mean and np.std(ddof=1).
+    # The stimuli with n scores are the rows of one (k, n) array, and a row sum
+    # adds in the order of a 1-d sum: bitwise per-stimulus np.mean/np.std(ddof=1).
     for n in np.unique(counts):
         cols = np.flatnonzero(counts == n)
         vals = matrix.scores[:, cols].T[present[:, cols].T].reshape(cols.size, n)
@@ -236,6 +235,9 @@ def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
         bad = matrix.subjects[int(np.argmin(per_subject))]
         raise TooFewRaters(f"subject {bad!r} has fewer than 2 scores")
     scores = np.where(present, matrix.scores, 0.0)
+    # products with this 0/1 mask are np.where(present, ..., 0.0) bitwise at a
+    # third of the cost, since scores holds +0.0 where the mask is 0.0
+    mask = present.astype(float)
     n_scored = per_subject.astype(float)
     n_subjects = len(matrix.subjects)
     psi = np.zeros(len(matrix.stimuli))
@@ -245,10 +247,11 @@ def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
     trace: list[float] = []
     for sweeps in range(1, MAX_SWEEPS + 1):
         psi_old, delta_old, nu_old = psi, delta, nu
-        w = np.where(present, (1.0 / nu**2)[:, None], 0.0)
+        w = mask * (1.0 / nu**2)[:, None]
         psi = (w * (scores - delta[:, None])).sum(axis=0) / w.sum(axis=0)
-        delta = np.where(present, scores - psi[None, :], 0.0).sum(axis=1) / n_scored
-        resid = np.where(present, scores - psi[None, :] - delta[:, None], 0.0)
+        dev = scores - mask * psi
+        delta = dev.sum(axis=1) / n_scored
+        resid = dev - mask * delta[:, None]
         rss = (resid**2).sum(axis=1)
         nu = np.maximum(np.sqrt(rss / n_scored), NU_FLOOR)
         shift = float(delta.mean())
@@ -267,7 +270,7 @@ def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
     else:
         raise NonConvergence(f"no convergence after {MAX_SWEEPS} sweeps")
 
-    info = np.where(present, (1.0 / nu**2)[:, None], 0.0).sum(axis=0)
+    info = (mask * (1.0 / nu**2)[:, None]).sum(axis=0)
     ci95 = 1.96 / np.sqrt(info)
     return SubjectModel(
         stimuli=matrix.stimuli,
@@ -316,8 +319,7 @@ def read_scores_csv(path) -> ScoreTable:
         meta = {name: [] for name in columns if name not in required}
         extra = [(meta[name].append, columns[name]) for name in meta]
         add_subject, add_pvs, add_raw = subjects.append, pvs.append, raw.append
-        # one str object per distinct id, not one per row
-        subject_id, pvs_id = {}.setdefault, {}.setdefault
+        subject_id, pvs_id = {}.setdefault, {}.setdefault  # one str per distinct id
         for rec in filter(None, reader):
             if len(rec) < width:
                 rec += pad[len(rec):]
@@ -366,9 +368,7 @@ def build_score_matrix(table: ScoreTable) -> ScoreMatrix:
     flat = rows * len(e_idx) + cols
     scores = np.full(len(s_idx) * len(e_idx), np.nan)
     scores[flat] = table.scores
-    filled = np.zeros(scores.size, dtype=bool)
-    filled[flat] = True
-    if np.count_nonzero(filled) < n:  # some pair has more than one row
+    if np.bincount(flat, minlength=1).max() > 1:  # some pair has more than one row
         _, first = np.unique(flat, return_index=True)
         repeat = np.ones(n, dtype=bool)
         repeat[first] = False

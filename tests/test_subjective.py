@@ -23,7 +23,7 @@ from perclip import (
     read_scores_csv,
     recover_mle,
 )
-from perclip.errors import MissingPair, TooFewRaters
+from perclip.errors import MissingPair, NonConvergence, TooFewRaters
 from perclip.subjective import ScoreTable, subject_cohorts
 
 from conftest import (
@@ -113,9 +113,10 @@ def rowwise_compute_mos(matrix) -> dict[str, MosEntry]:
 
 
 def sweep_recover_mle(matrix, max_sweeps=10_000):
-    """The P.913 sweep with the log-likelihood taken over every matrix
-    entry, as recover_mle computed it before it reused the per-subject
-    residual sums. Returns psi, delta, nu and the log-likelihood trace."""
+    """The P.913 sweep with np.where masks and the log-likelihood taken over
+    every matrix entry, as recover_mle computed it before it reused the
+    per-subject residual sums. Returns psi, delta, nu and the log-likelihood
+    trace, or None when the sweeps do not converge."""
     present = matrix.present
     scores = np.where(present, matrix.scores, 0.0)
     n_scored = present.sum(axis=1).astype(float)
@@ -142,7 +143,7 @@ def sweep_recover_mle(matrix, max_sweeps=10_000):
                      float(np.abs(nu - nu_old).max()))
         if change < 1e-8:
             return psi, delta, nu, trace
-    raise AssertionError("no convergence")
+    return None
 
 
 @st.composite
@@ -490,7 +491,12 @@ class TestRecoverMle:
     @settings(max_examples=60, deadline=None)
     @given(matrix=sparse_panels())
     def test_sweep_is_bitwise_the_full_matrix_sweep(self, matrix):
-        psi, delta, nu, trace = sweep_recover_mle(matrix)
+        want = sweep_recover_mle(matrix)
+        if want is None:  # about 1 panel in 700 does not converge
+            with pytest.raises(NonConvergence):
+                recover_mle(matrix)
+            return
+        psi, delta, nu, trace = want
         model = recover_mle(matrix)
         assert np.array(model.psi).tobytes() == psi.tobytes()
         assert np.array(model.delta).tobytes() == delta.tobytes()
