@@ -28,6 +28,7 @@ print(f"cost at (1,1):   {trace.evaluations[0].cost}")
 print(f"cost calls:      {len(trace.evaluations)}")
 print(f"encodes issued:  {trace.encode_count} (memoization refunds revisits)")
 print(f"radius levels:   {trace.iterations} (trust-region resolutions searched)")
+print(f"stopped by:      {trace.stop} (model: its predictions matched the costs)")
 
 # The first few and last few steps of the search path:
 print("\n  step     k1      k2        cost  cached")

@@ -100,6 +100,7 @@ def cmd_optimize(args) -> int:
                     "cost_bdrate_pct": trace.best[1],
                     "iterations": trace.iterations,
                     "encodes": trace.encode_count,
+                    "stop": trace.stop,
                 },
                 fh,
                 indent=2,

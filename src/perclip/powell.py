@@ -6,11 +6,13 @@ diagonal toward the better axis probes. Each step fits a full quadratic
 through the best point to the set's finite costs and moves to its exact
 minimum over the box and ||s||inf <= delta. The ratio of the actual to the
 predicted decrease resizes delta, never below rho. With no useful step
-left, a point farther than 3*delta from the best gives way to the best's
-neighbour at distance rho in its direction, or else rho shrinks fivefold,
-down to xtol. The search ends there, or earlier once every cost of a full
-point set is within FTOL (relative) of the best. The cost at x0 must be
-finite; a +inf cost elsewhere never enters the model.
+left, the search ends once its model is validated: its error at the latest
+point it placed and its best decrease over the whole box are both below the
+caller's cost resolution. Otherwise a point farther than 3*delta from the
+best gives way to the best's neighbour at distance rho in its direction, or
+else rho shrinks fivefold, down to xtol, where the search ends too, as it
+does once every cost of a full point set is within FTOL (relative) of the
+best. The cost at x0 must be finite; a +inf cost never enters the model.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class PowellResult:
     fx: float
     iterations: int
     evaluations: list[tuple[tuple[float, ...], float]]
+    stop: str  # "model", "ftol" or "resolution": the test that ended the search
 
 
 def _eliminate(rows: list[list[float]], spd: bool) -> list[float] | None:
@@ -71,6 +74,11 @@ def _fit(pts, xb, fb: float, scale: float, terms):
     return [v / scale for v in c[:n]], h
 
 
+def _q(g, h, s) -> float:
+    """q(s) = g.s + s.h.s / 2."""
+    return sum((gi + 0.5 * sum(map(mul, hi, s))) * si for gi, hi, si in zip(g, h, s))
+
+
 def _box_min(g, h, lo, hi) -> tuple[list[float], float]:
     """Minimum of q(s) = g.s + s.h.s / 2 over the box [lo, hi], which holds
     0, and the decrease -q there: the lowest stationary point of q, strictly
@@ -87,7 +95,7 @@ def _box_min(g, h, lo, hi) -> tuple[list[float], float]:
                 continue
             for i, v in zip(free, sol):
                 s[i] = v
-        q = sum((g[i] + 0.5 * sum(map(mul, h[i], s))) * s[i] for i in range(n))
+        q = _q(g, h, s)
         if len(free) == n:  # q is convex and its minimum lies in the box
             return s, -q
         if q < q_best:
@@ -95,9 +103,11 @@ def _box_min(g, h, lo, hi) -> tuple[list[float], float]:
     return best, -q_best
 
 
-def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4) -> PowellResult:
+def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
+                        cost_resolution: float = 0.0) -> PowellResult:
     """Minimize f over the box [lower, upper] from x0 to a resolution of
-    xtol; iterations counts resolutions rho. f(x0) must be finite."""
+    xtol, or until its model is validated to cost_resolution (never, at 0);
+    iterations counts resolutions rho. f(x0) must be finite."""
     x0, lower, upper = (tuple(map(float, v)) for v in (x0, lower, upper))
     if any(lo >= hi for lo, hi in zip(lower, upper)):
         raise ValueError("each lower bound must be below its upper bound")
@@ -148,11 +158,12 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4) -> PowellResult
     if not math.isfinite(f0 := call(x0)):
         raise ValueError(f"cost at the start point {list(x0)} is {f0}, not finite")
     stencil(x0)
-    iterations, fitted = 1, -1
+    iterations, fitted, error = 1, -1, math.inf  # error: |f - model| at its latest point
     while True:
         xb, fb = min(pts, key=itemgetter(1))
         if len(pts) >= full and all(
                 2.0 * abs(v - fb) <= FTOL * (abs(v) + abs(fb) + 1e-12) for _, v in pts):
+            stop = "ftol"
             break
         dist = [far(x, xb) for x, _ in pts]
         if fitted != len(seen):  # no new point, no new model
@@ -162,6 +173,7 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4) -> PowellResult
         step = max(map(abs, s))
         if step >= rho / 2.0 and pred > 0.0:
             fn = call(tuple(map(add, xb, s)))
+            error = abs(fn - (fb - pred))
             if len(pts) > full:  # it replaces the old point farthest from the best
                 xn = min(pts, key=itemgetter(1))[0]
                 pts.remove(max(pts[:-1], key=lambda p: (p[0] != xn, far(p[0], xn))))
@@ -171,17 +183,24 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4) -> PowellResult
             if ratio >= 0.1 or delta > rho:  # a failed step at the floor ends the level
                 delta = delta if ratio >= 0.1 else max(delta / 2.0, rho)
                 continue
+        if error < cost_resolution and _box_min(
+                g, h, list(map(sub, lower, xb)), list(map(sub, upper, xb)))[1] < cost_resolution:
+            stop = "model"
+            break
         worst = pts[dist.index(max(dist))]
         x = clip(b + math.copysign(rho, w - b) if w != b else b for w, b in zip(worst[0], xb))
         if max(dist) > 3.0 * delta and x not in seen:
-            if call(x) < math.inf:
+            fx = call(x)
+            error = abs(fx - fb - _q(g, h, list(map(sub, x, xb))))
+            if fx < math.inf:
                 pts.remove(worst)
             continue
         if len(pts) <= n and stencil(xb):  # too few points for a linear model
             continue
         if rho <= rho_end:
+            stop = "resolution"
             break
         iterations, rho = iterations + 1, max(rho / 5.0, rho_end)
         delta = max(delta / 2.0, rho)
     best_x, best_f = min(seen.items(), key=itemgetter(1))
-    return PowellResult(np.asarray(best_x), best_f, iterations, list(seen.items()))
+    return PowellResult(np.asarray(best_x), best_f, iterations, list(seen.items()), stop)

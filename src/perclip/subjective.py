@@ -134,10 +134,7 @@ def compute_mos(matrix: ScoreMatrix) -> MosTable:
     from scipy.special import stdtrit
 
     present = matrix.present
-    counts = present.sum(axis=0)
-    if np.any(counts < 2):
-        j = int(np.argmax(counts < 2))
-        raise TooFewRaters(f"stimulus {matrix.stimuli[j]!r} has {counts[j]} score(s)")
+    counts = present.sum(axis=0)  # each >= 2, as ScoreMatrix checks
     mean, ci = np.empty((2, counts.size))
     # The stimuli with n scores are the rows of one (k, n) array, and a row sum
     # adds in the order of a 1-d sum: bitwise per-stimulus np.mean/np.std(ddof=1).

@@ -1,7 +1,9 @@
 """Tests for cost evaluation, memoization, and the per-clip search."""
 
+import dataclasses
 import json
 import math
+import random
 import threading
 import warnings
 
@@ -22,10 +24,49 @@ from perclip import (
 )
 from perclip.backends import EncodeRequest, EncodeResult
 from perclip.errors import BackendFailure, PerclipError
-from perclip.optimizer import K_RESOLUTION, CachingEncoder
+from perclip.optimizer import COST_RESOLUTION, K_RESOLUTION, CachingEncoder
 from perclip.powell import powell_box_minimize
 
 QPS = (27, 39, 49, 59, 63)
+
+
+class ByteRounded(SyntheticBackend):
+    """Rate from a whole number of bytes over an 8 s clip, as a real
+    encoder's output size gives it."""
+
+    duration_s = 8.0
+
+    def encode(self, request):
+        res = super().encode(request)
+        size = int(res.rate * 1000.0 * self.duration_s / 8.0 + 0.5)
+        return EncodeResult(rate=8.0 * size / self.duration_s / 1000.0, quality=res.quality)
+
+
+class Staircase(ByteRounded):
+    """A real encoder's flat-stepped cost: it scales an integer Lagrangian
+    multiplier, so k snaps to multiples of 1/base, the base growing with qp
+    as the multiplier does, and the rate is byte-rounded."""
+
+    bases = {27: 24, 39: 48, 49: 96, 59: 192, 63: 384}
+
+    def encode(self, request):
+        base = self.bases[request.qp]
+        ks = LambdaMultipliers(round(request.ks.k1 * base) / base, round(request.ks.k2 * base) / base)
+        return super().encode(dataclasses.replace(request, ks=ks))
+
+
+def seeded_models(seed: int, count: int) -> list[SyntheticModel]:
+    """count models with k_star strictly inside the default box and count
+    with one k beyond its upper bound, both ks in shuffled order."""
+    rng = random.Random(seed)
+    models = []
+    for ranges in [((0.55, 0.85), (1.25, 1.8))] * count + [((4.2, 5.0), (0.6, 0.85))] * count:
+        k_star = [rng.uniform(*r) for r in ranges]
+        rng.shuffle(k_star)
+        models.append(SyntheticModel(r0=rng.uniform(8000.0, 60000.0), k_star=tuple(k_star),
+                                     gamma=rng.uniform(0.8, 1.2), w1=rng.uniform(0.3, 0.5),
+                                     w2=rng.uniform(0.5, 0.7)))
+    return models
 
 
 @pytest.fixture
@@ -304,19 +345,22 @@ class TestOptimizeClip:
         assert fine.evaluations[: len(coarse.evaluations)] == coarse.evaluations
         assert len(fine.evaluations) - len(coarse.evaluations) <= 2 * 2
 
+    def test_validated_model_ends_the_same_search_earlier(self, backend, baseline):
+        config = OptimizationConfig()
+
+        def cost(x):
+            ks = LambdaMultipliers(*map(float, x))
+            return evaluate_cost(backend, "clip", ks, baseline, config)
+
+        full, early = (powell_box_minimize(cost, (1.0, 1.0), (0.2, 0.2), (4.0, 4.0),
+                                           K_RESOLUTION, resolution)
+                       for resolution in (0.0, COST_RESOLUTION))
+        assert (full.stop, early.stop) == ("resolution", "model")
+        assert len(early.evaluations) < len(full.evaluations)
+        assert early.evaluations == full.evaluations[: len(early.evaluations)]
+        assert early.fx - full.fx <= COST_RESOLUTION
+
     def test_byte_rounded_rate_spends_few_encodes(self):
-        class ByteRounded(SyntheticBackend):
-            """Rate from a whole number of bytes over an 8 s clip, as a real
-            encoder's output size gives it."""
-
-            duration_s = 8.0
-
-            def encode(self, request):
-                res = super().encode(request)
-                size = int(res.rate * 1000.0 * self.duration_s / 8.0 + 0.5)
-                return EncodeResult(rate=8.0 * size / self.duration_s / 1000.0,
-                                    quality=res.quality)
-
         # the cold ProcessBackend clip of the benchmark's tune workload, seed 1
         model = SyntheticModel(r0=56317.749, k_star=(0.829938, 1.428032),
                                gamma=0.858817, w1=0.341133, w2=0.546877)
@@ -326,8 +370,23 @@ class TestOptimizeClip:
         optimum = evaluate_cost(backend, "clip", LambdaMultipliers(*model.k_star),
                                 baseline, config)
         _, trace = optimize_clip(backend, "clip", config)
-        assert trace.encode_count <= 100
+        assert trace.encode_count <= 55
         assert abs(trace.best[1] - optimum) <= 0.01  # BD-rate pct-points
+
+    def test_staircase_cost_stays_within_the_gap_bound(self):
+        config = OptimizationConfig()
+        evaluations = []
+        for model in seeded_models(seed=3, count=10):
+            backend = Staircase(model)
+            baseline = build_rd_curve(backend, "clip", LambdaMultipliers(1.0, 1.0), config.qps)
+            clamped = LambdaMultipliers(*(min(max(k, 0.2), 4.0) for k in model.k_star))
+            optimum = evaluate_cost(backend, "clip", clamped, baseline, config)
+            _, trace = optimize_clip(backend, "clip", config)
+            assert trace.best[1] - optimum <= 0.01, model  # BD-rate pct-points
+            evaluations.append(len(trace.evaluations))
+        # 29 and 392 on this set; without the validated stop it takes 453
+        assert max(evaluations) <= 30
+        assert sum(evaluations) <= 400
 
     def test_optimum_on_the_edge_of_comparable_curves(self):
         # the cost falls toward the edge of the region where the candidate's
@@ -346,6 +405,9 @@ class TestOptimizeClip:
         assert abs(ks.k1 - 1.0) < 1e-3
         assert abs(ks.k2 - 1.0) < 1e-3
         assert trace.best[1] == pytest.approx(0.0, abs=1e-9)
+        assert len(trace.evaluations) <= 7
+        assert trace.encode_count <= 35
+        assert trace.stop == "model"
 
     def test_persistent_cache_second_run_issues_no_encodes(self, backend):
         cache = EncodeCache()

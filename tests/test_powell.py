@@ -31,6 +31,15 @@ class TestPowellMinimize:
         assert res.x[0] == pytest.approx(1.3, abs=1e-4)
         assert res.x[1] == pytest.approx(0.8, abs=1e-4)
         assert len(res.evaluations) <= 40
+        assert res.stop == "resolution"
+
+    def test_exact_model_stops_once_validated(self):
+        res = powell_box_minimize(quadratic_bowl, (1.0, 1.0), (0.2, 0.2), (4.0, 4.0), 1e-4,
+                                  cost_resolution=1e-9)
+        assert res.stop == "model"
+        assert res.x[0] == pytest.approx(1.3, abs=1e-6)
+        assert res.x[1] == pytest.approx(0.8, abs=1e-6)
+        assert len(res.evaluations) < len(minimize(quadratic_bowl).evaluations)
 
     def test_rosenbrock_from_default_start(self):
         res = minimize(rosenbrock)
@@ -44,6 +53,7 @@ class TestPowellMinimize:
         assert res.x[0] == 1.0
         assert res.x[1] == 1.0
         assert res.fx == 42.0
+        assert res.stop == "ftol"
 
     def test_never_evaluates_outside_box(self):
         lo, hi = 0.2, 4.0
