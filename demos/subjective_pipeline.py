@@ -35,18 +35,17 @@ print(f"highest outlier ratio: {worst[0]} at {worst[1].outlier_ratio:.3f}")
 
 # Plain per-stimulus means with Student-t 95% intervals.
 mos = compute_mos(matrix)
-some = list(mos.entries.items())[:4]
-for pvs, entry in some:
-    print(f"  {pvs:24s} mos {entry.mos:6.2f} +/- {entry.ci95:.2f} (n={entry.n})")
+for pvs, m, ci, n in list(zip(mos.stimuli, mos.mos, mos.ci95, mos.n))[:4]:
+    print(f"  {pvs:24s} mos {m:6.2f} +/- {ci:.2f} (n={n})")
 
 # Differential scores: 100 - (source - distorted).
 pairing = read_pairing_csv(DATA / "pairing.csv")
 dmos = compute_dmos(mos, pairing)
-best = max(dmos.entries.items(), key=lambda kv: kv[1].mos)
-print(f"\nhighest dmos: {best[0]} at {best[1].mos:.2f}")
+best = int(np.argmax(dmos.mos))
+print(f"\nhighest dmos: {dmos.stimuli[best]} at {dmos.mos[best]:.2f}")
 
 # Recovery: scores = psi[stimulus] + delta[subject] + nu[subject] * noise.
-model = recover_mle(matrix, method="p913")
+model = recover_mle(matrix)
 print(f"\nrecovery converged after {model.iterations} sweeps, "
       f"log-likelihood {model.loglik:.1f}")
 truth = json.loads((DATA / "scores_truth.json").read_text())
@@ -58,5 +57,4 @@ psi_err = [abs(p - truth["psi"][e]) for e, p in zip(model.stimuli, model.psi)]
 print(f"max quality-recovery error: {max(psi_err):.4f} score units")
 
 # Recovered psi should track plain MOS but with subject bias removed.
-mos_vals = np.array([mos[e].mos for e in matrix.stimuli])
-print(f"mean |psi - mos|: {np.mean(np.abs(np.array(model.psi) - mos_vals)):.4f}")
+print(f"mean |psi - mos|: {np.mean(np.abs(np.array(model.psi) - mos.mos)):.4f}")

@@ -32,7 +32,6 @@ from .optimizer import (
     optimize_clip,
 )
 from .subjective import (
-    MosEntry,
     MosTable,
     ScoreMatrix,
     ScoreTable,

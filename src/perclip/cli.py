@@ -15,6 +15,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .backends import backend_from_config, from_section, known_keys
 from .bd import bd_quality, bd_rate, bitrate_savings, default_anchors
 from .correlation import fit_logistic5, correlate
@@ -23,7 +25,6 @@ from .errors import PerclipError
 from .optimizer import OptimizationConfig, optimize_clip, EncodeCache
 from .report import CurveSeries, render_rq_svg
 from .subjective import (
-    MosEntry,
     MosTable,
     bt500_screen,
     build_score_matrix,
@@ -45,11 +46,16 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([fmt(v) for v in row] for row in rows)
+
+
+def _write_table(path: Path, column: str, table: MosTable) -> None:
+    _write_csv(path, ["pvs_id", column, "ci95", "n"], zip(
+        table.stimuli, table.mos.tolist(), table.ci95.tolist(), table.n.tolist()))
 
 
 def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
@@ -193,16 +199,11 @@ def cmd_scores(args) -> int:
         sub = matrix if label == "" else matrix.subset_subjects(subjects)
         mos = compute_mos(sub)
         path = out / f"mos{suffix}.csv"
-        _write_csv(
-            path,
-            ["pvs_id", "mos", "ci95", "n"],
-            [[pvs, e.mos, e.ci95, e.n] for pvs, e in mos.entries.items()],
-        )
+        _write_table(path, "mos", mos)
         outputs.append(path)
 
-        model = None
         if args.recover:
-            model = recover_mle(sub, method=args.recover)
+            model = recover_mle(sub)
             path = out / f"psi{suffix}.csv"
             _write_csv(
                 path,
@@ -225,23 +226,11 @@ def cmd_scores(args) -> int:
             outputs.append(path)
 
         if pairing is not None:
-            if args.dmos_from == "recovered" and model is not None:
-                base = MosTable(entries={
-                    pvs: MosEntry(mos=psi, ci95=ci, n=e.n)
-                    for (pvs, psi, ci), e in zip(
-                        zip(model.stimuli, model.psi, model.ci95),
-                        mos.entries.values(),
-                    )
-                })
-            else:
-                base = mos
-            dmos = compute_dmos(base, pairing)
+            base = mos
+            if args.dmos_from == "recovered":
+                base = MosTable(model.stimuli, np.array(model.psi), np.array(model.ci95), mos.n)
             path = out / f"dmos{suffix}.csv"
-            _write_csv(
-                path,
-                ["pvs_id", "dmos", "ci95", "n"],
-                [[pvs, e.mos, e.ci95, e.n] for pvs, e in dmos.entries.items()],
-            )
+            _write_table(path, "dmos", compute_dmos(base, pairing))
             outputs.append(path)
 
     inputs = [args.scores] + ([args.pairing] if args.pairing else [])
@@ -390,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scores", help="CSV of subject_id,pvs_id,score")
     p.add_argument("--pairing", default=None, help="CSV of dist_pvs_id,src_pvs_id")
     p.add_argument("--screen", action="store_true", help="run observer screening")
-    p.add_argument("--recover", choices=("p910", "p913"), default=None,
+    p.add_argument("--recover", choices=("p913",), default=None,
                    help="recover per-subject bias and inconsistency")
     p.add_argument("--cohort", default=None,
                    help="scores column to split subjects into cohorts")

@@ -37,7 +37,7 @@ class TooFewRaters(PerclipError, ValueError):
     """A stimulus has fewer scores than the statistic requires."""
 
 
-class MissingPair(PerclipError, KeyError):
+class MissingPair(PerclipError, ValueError):
     """A distorted stimulus has no paired source stimulus."""
 
 

@@ -8,6 +8,10 @@ entries only; nothing is imputed. compute_mos reduces the stimuli that share
 a score count as the rows of one array, bitwise the per-stimulus sums, and
 recover_mle takes its log-likelihood from per-subject residual sums.
 
+MOS and DMOS tables are columnar: the stimulus ids plus one array each of
+means, 95% half-widths and score counts. compute_dmos maps the pairing to
+indices and gathers the paired columns.
+
 Ingestion is columnar: one csv.reader pass appends the subject ids, the
 stimulus ids (one str per distinct id) and the raw score cells to one list
 each, optional columns likewise; the scores convert in one np.fromiter call
@@ -75,19 +79,14 @@ class ScoreMatrix:
         )
 
 
-@dataclass(frozen=True)
-class MosEntry:
-    mos: float
-    ci95: float
-    n: int
+class MosTable(NamedTuple):
+    """Per-stimulus columns: mos (a DMOS in compute_dmos's tables), the 95%
+    half-width ci95 and the score count n, in the order of stimuli."""
 
-
-@dataclass(frozen=True)
-class MosTable:
-    entries: dict[str, MosEntry]
-
-    def __getitem__(self, pvs_id: str) -> MosEntry:
-        return self.entries[pvs_id]
+    stimuli: tuple[str, ...]
+    mos: np.ndarray
+    ci95: np.ndarray
+    n: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,6 @@ class SubjectModel:
     loglik: float
     iterations: int
     loglik_trace: tuple[float, ...]
-    method: str
 
 
 def compute_mos(matrix: ScoreMatrix) -> MosTable:
@@ -144,26 +142,26 @@ def compute_mos(matrix: ScoreMatrix) -> MosTable:
         mean[cols] = m = vals.sum(axis=1) / n
         d = vals - m[:, None]
         ci[cols] = stdtrit(n - 1, 0.975) * np.sqrt((d * d).sum(axis=1) / (n - 1)) / math.sqrt(n)
-    return MosTable(entries={pvs: MosEntry(mos=float(m), ci95=float(c), n=int(n))
-                             for pvs, m, c, n in zip(matrix.stimuli, mean, ci, counts)})
+    return MosTable(matrix.stimuli, mean, ci, counts)
 
 
 def compute_dmos(mos: MosTable, pairing: dict[str, str]) -> MosTable:
-    """Differential scores: 100 - (mos_src - mos_dist), keyed by the
-    distorted stimulus. Confidence intervals add in quadrature."""
-    entries: dict[str, MosEntry] = {}
+    """Differential scores: 100 - (mos_src - mos_dist), one row per distorted
+    stimulus in pairing order. Confidence intervals add in quadrature."""
+    index = {pvs: j for j, pvs in enumerate(mos.stimuli)}
+    d, s = [], []
     for dist, src in pairing.items():
-        if dist not in mos.entries:
+        if dist not in index:
             raise MissingPair(f"distorted stimulus {dist!r} not in the MOS table")
-        if src not in mos.entries:
+        if src not in index:
             raise MissingPair(f"source stimulus {src!r} (pair of {dist!r}) not in the MOS table")
-        e_d, e_s = mos[dist], mos[src]
-        entries[dist] = MosEntry(
-            mos=100.0 - (e_s.mos - e_d.mos),
-            ci95=math.hypot(e_s.ci95, e_d.ci95),
-            n=min(e_s.n, e_d.n),
-        )
-    return MosTable(entries=entries)
+        d.append(index[dist])
+        s.append(index[src])
+    d, s = np.array([d, s], dtype=np.intp).reshape(2, -1)
+    # math.hypot, as np.hypot differs from it by one ulp on some pairs
+    ci = map(math.hypot, mos.ci95[s].tolist(), mos.ci95[d].tolist())
+    return MosTable(tuple(pairing), 100.0 - (mos.mos[s] - mos.mos[d]),
+                    np.fromiter(ci, float, len(d)), np.minimum(mos.n[s], mos.n[d]))
 
 
 def bt500_screen(matrix: ScoreMatrix) -> ScreeningReport:
@@ -211,7 +209,7 @@ def bt500_screen(matrix: ScoreMatrix) -> ScreeningReport:
     return ScreeningReport(rejected=tuple(rejected), per_subject=per_subject)
 
 
-def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
+def recover_mle(matrix: ScoreMatrix) -> SubjectModel:
     """Fit scores = psi[stimulus] + delta[subject] + nu[subject] * noise.
 
     Alternating coordinate maximum likelihood: stimulus qualities are
@@ -219,13 +217,8 @@ def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
     inconsistencies are per-subject residual stds (floored). Biases are
     recentered to zero mean each sweep, compensating psi so the likelihood
     is untouched. The first sweep starts from zero bias and unit
-    inconsistency, so its psi is the plain mean; iterations counts it. The
-    two presets run the same solver; the method name is recorded on the
-    result.
+    inconsistency, so its psi is the plain mean; iterations counts it.
     """
-    method = method.lower()
-    if method not in ("p910", "p913"):
-        raise ValueError(f"unknown recovery method {method!r}")
     present = matrix.present
     per_subject = present.sum(axis=1)
     if np.any(per_subject < 2):
@@ -279,7 +272,6 @@ def recover_mle(matrix: ScoreMatrix, method: str = "p913") -> SubjectModel:
         loglik=trace[-1],
         iterations=sweeps,
         loglik_trace=tuple(trace),
-        method=method,
     )
 
 

@@ -211,8 +211,7 @@ def test_criterion_07_recovery_beats_averaging():
     for seed in range(100):
         matrix, psi, _, _ = simulate_biased_scores(seed)
         model = recover_mle(matrix)
-        mos = compute_mos(matrix)
-        mos_vals = np.array([mos[e].mos for e in matrix.stimuli])
+        mos_vals = compute_mos(matrix).mos
         rmse_rec = float(np.sqrt(np.mean((np.array(model.psi) - psi) ** 2)))
         rmse_mos = float(np.sqrt(np.mean((mos_vals - psi) ** 2)))
         wins += rmse_rec < rmse_mos

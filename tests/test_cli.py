@@ -416,6 +416,13 @@ class TestScoresCommand:
         assert code == 1
         assert "ghost_src" in capsys.readouterr().err
 
+    def test_missing_pair_error_line_is_unquoted(self, tmp_path, capsys):
+        pairing = tmp_path / "pairing.csv"
+        pairing.write_text("dist_pvs_id,src_pvs_id\nghost,nope\n")
+        code = run("--out", tmp_path, "scores", DATA / "scores.csv", "--pairing", pairing)
+        assert code == 1
+        assert capsys.readouterr().err == "error: distorted stimulus 'ghost' not in the MOS table\n"
+
     def test_malformed_csv_exit_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject_id,pvs_id,score\ns1,a,12\ns1,b,elephant\ns2,a,40\ns2,b,50\n")
@@ -465,6 +472,14 @@ class TestScoresCommand:
         )
         assert code == 0
         assert_matches_golden(tmp_path, "scores")
+
+    def test_shipped_data_dmos_from_mos_matches_golden_outputs(self, tmp_path):
+        code = run(
+            "--out", tmp_path, "scores", DATA / "scores.csv",
+            "--pairing", DATA / "pairing.csv", "--cohort", "cohort",
+        )
+        assert code == 0
+        assert_matches_golden(tmp_path, "scores_mos")
 
     @pytest.mark.parametrize("qp", ["27.0", "n/a"])
     def test_free_form_metadata_columns_accepted(self, tmp_path, qp):

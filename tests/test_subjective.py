@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
 from perclip import (
-    MosEntry,
+    MosTable,
     ScoreMatrix,
     bt500_screen,
     build_score_matrix,
@@ -42,8 +42,8 @@ def score_table(rows, **meta) -> ScoreTable:
     return ScoreTable(list(subjects), list(pvs), np.array(scores, dtype=float), meta)
 
 
-# The row-by-row ingestion and MOS that the columnar path replaced, kept as
-# its reference. One row is (subject_id, pvs_id, score, meta dict).
+# The row-by-row ingestion, MOS and DMOS that the columnar path replaced,
+# kept as its reference. One row is (subject_id, pvs_id, score, meta dict).
 
 def rowwise_read_scores_csv(path) -> list[tuple]:
     required = ("subject_id", "pvs_id", "score")
@@ -101,15 +101,42 @@ def rowwise_subject_cohorts(rows, column) -> dict[str, str]:
     return out
 
 
-def rowwise_compute_mos(matrix) -> dict[str, MosEntry]:
-    entries = {}
-    for j, pvs in enumerate(matrix.stimuli):
+def rowwise_compute_mos(matrix) -> MosTable:
+    mos, ci95, count = [], [], []
+    for j in range(len(matrix.stimuli)):
         col = matrix.scores[:, j]
         vals = col[np.isfinite(col)]
         n = int(vals.size)
         ci = float(student_t.ppf(0.975, n - 1) * float(vals.std(ddof=1)) / math.sqrt(n))
-        entries[pvs] = MosEntry(mos=float(vals.mean()), ci95=ci, n=n)
-    return entries
+        mos.append(float(vals.mean()))
+        ci95.append(ci)
+        count.append(n)
+    return MosTable(matrix.stimuli, np.array(mos, dtype=float), np.array(ci95, dtype=float),
+                    np.array(count, dtype=np.intp))
+
+
+def rowwise_compute_dmos(table, pairing) -> MosTable:
+    index = {pvs: j for j, pvs in enumerate(table.stimuli)}
+    dmos, ci95, count = [], [], []
+    for dist, src in pairing.items():
+        if dist not in index:
+            raise MissingPair(f"distorted stimulus {dist!r} not in the MOS table")
+        if src not in index:
+            raise MissingPair(f"source stimulus {src!r} (pair of {dist!r}) not in the MOS table")
+        d, s = index[dist], index[src]
+        dmos.append(100.0 - (float(table.mos[s]) - float(table.mos[d])))
+        ci95.append(math.hypot(float(table.ci95[s]), float(table.ci95[d])))
+        count.append(min(int(table.n[s]), int(table.n[d])))
+    return MosTable(tuple(pairing), np.array(dmos, dtype=float), np.array(ci95, dtype=float),
+                    np.array(count, dtype=np.intp))
+
+
+def assert_same_table(got, want) -> None:
+    """Same stimuli in the same order, and bitwise the same columns."""
+    assert got.stimuli == want.stimuli
+    for name in ("mos", "ci95", "n"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
 
 def sweep_recover_mle(matrix, max_sweeps=10_000):
@@ -164,6 +191,24 @@ def sparse_panels(draw, max_subjects=24, max_stimuli=30):
     scores = quality + rng.normal(0, rng.uniform(0.5, 20), (n_subjects, n_stimuli))
     scores = np.clip(np.round(scores, draw(st.integers(0, 17))), 0, 100)
     return make_matrix(np.where(present, scores, np.nan))
+
+
+@st.composite
+def paired_panels(draw):
+    """A sparse panel and a pairing of every stimulus, in random order, with
+    a random source; in half of the pairings one entry names an unknown
+    distorted or source stimulus, or both."""
+    matrix = draw(sparse_panels())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = matrix.stimuli
+    pairs = [[ids[j], ids[rng.integers(len(ids))]] for j in rng.permutation(len(ids))]
+    unknown = draw(st.sampled_from(["none", "none", "none", "dist", "src", "both"]))
+    k = rng.integers(len(pairs))
+    if unknown in ("dist", "both"):
+        pairs[k][0] = "ghost"
+    if unknown in ("src", "both"):
+        pairs[k][1] = "nope"
+    return matrix, dict(pairs)
 
 
 LINE_DEFECTS = ("text", "nan", "inf", "empty_score", "above", "below", "empty_subject",
@@ -274,7 +319,7 @@ class TestColumnarIngestionMatchesRowwise:
         got, want = got[1], want[1]
         assert (got.subjects, got.stimuli) == (want.subjects, want.stimuli)
         assert got.scores.tobytes() == want.scores.tobytes()
-        assert compute_mos(got).entries == rowwise_compute_mos(want)
+        assert_same_table(compute_mos(got), rowwise_compute_mos(want))
 
 
 class TestScoreMatrix:
@@ -311,17 +356,18 @@ class TestComputeMos:
     def test_unanimous_scores(self):
         m = make_matrix([[70.0, 10.0], [70.0, 20.0], [70.0, 30.0]])
         table = compute_mos(m)
-        assert table["e00"].mos == 70.0
-        assert table["e00"].ci95 == 0.0
-        assert table["e00"].n == 3
+        assert table.mos[0] == 70.0
+        assert table.ci95[0] == 0.0
+        assert table.n[0] == 3
 
     def test_two_rater_interval_uses_t_distribution(self):
         m = make_matrix([[60.0, 10.0], [80.0, 20.0]])
-        entry = compute_mos(m)["e00"]
-        assert entry.mos == 70.0
+        table = compute_mos(m)
+        assert table.mos[0] == 70.0
         # t(0.975, df=1) = 12.706; s = sqrt(200); ci = 12.706 * s / sqrt(2)
-        assert entry.ci95 == pytest.approx(12.706204736 * math.sqrt(200) / math.sqrt(2), rel=1e-9)
-        assert entry.ci95 == pytest.approx(127.06, abs=0.01)
+        assert table.ci95[0] == pytest.approx(12.706204736 * math.sqrt(200) / math.sqrt(2),
+                                              rel=1e-9)
+        assert table.ci95[0] == pytest.approx(127.06, abs=0.01)
 
     def test_quantile_is_bitwise_the_t_distribution_ppf(self):
         # compute_mos takes its quantile from scipy.special.stdtrit, which
@@ -336,13 +382,12 @@ class TestComputeMos:
     @settings(max_examples=200, deadline=None)
     @given(matrix=sparse_panels())
     def test_grouped_by_count_is_bitwise_the_per_stimulus_loop(self, matrix):
-        assert compute_mos(matrix).entries == rowwise_compute_mos(matrix)
+        assert_same_table(compute_mos(matrix), rowwise_compute_mos(matrix))
 
     def test_missing_entry_decrements_n(self):
         m = make_matrix([[60.0, 10.0], [80.0, 20.0], [np.nan, 30.0]])
         table = compute_mos(m)
-        assert table["e00"].n == 2
-        assert table["e01"].n == 3
+        assert table.n.tolist() == [2, 3]
 
     def test_permutation_invariance(self, rng):
         matrix, _, _, _ = simulate_biased_scores(7, n_subjects=10, n_stimuli=8)
@@ -355,9 +400,9 @@ class TestComputeMos:
         )
         base = compute_mos(matrix)
         out = compute_mos(shuffled)
-        for pvs in matrix.stimuli:
-            assert out[pvs].mos == pytest.approx(base[pvs].mos, abs=1e-12)
-            assert out[pvs].ci95 == pytest.approx(base[pvs].ci95, abs=1e-12)
+        assert out.stimuli == shuffled.stimuli
+        np.testing.assert_allclose(out.mos, base.mos[perm_e], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.ci95, base.ci95[perm_e], rtol=0, atol=1e-12)
 
 
 class TestComputeDmos:
@@ -367,17 +412,18 @@ class TestComputeDmos:
     def test_formula(self):
         table = self._table([[90.0, 70.0], [90.0, 70.0]])
         dmos = compute_dmos(table, {"e01": "e00"})
-        assert dmos["e01"].mos == 80.0
+        assert dmos.stimuli == ("e01",)
+        assert dmos.mos[0] == 80.0
 
     def test_transparent_encoding_scores_100(self):
         table = self._table([[75.0, 75.0], [85.0, 85.0]])
         dmos = compute_dmos(table, {"e01": "e00"})
-        assert dmos["e01"].mos == 100.0
+        assert dmos.mos[0] == 100.0
 
     def test_distorted_above_source_exceeds_100(self):
         table = self._table([[80.0, 95.0], [80.0, 95.0]])
         dmos = compute_dmos(table, {"e01": "e00"})
-        assert dmos["e01"].mos == 115.0
+        assert dmos.mos[0] == 115.0
 
     def test_missing_pair(self):
         table = self._table([[80.0, 95.0], [80.0, 95.0]])
@@ -391,10 +437,23 @@ class TestComputeDmos:
         table = compute_mos(matrix)
         pairing = {"e01": "e00", "e03": "e02"}
         dmos = compute_dmos(table, pairing)
-        for dist, src in pairing.items():
-            expected = math.hypot(table[src].ci95, table[dist].ci95)
-            assert dmos[dist].ci95 == pytest.approx(expected, abs=1e-12)
-            assert dmos[dist].ci95 >= max(table[src].ci95, table[dist].ci95) / math.sqrt(2)
+        for k, (dist, src) in enumerate(pairing.items()):
+            ci_d, ci_s = table.ci95[table.stimuli.index(dist)], table.ci95[table.stimuli.index(src)]
+            assert dmos.ci95[k] == pytest.approx(math.hypot(ci_s, ci_d), abs=1e-12)
+            assert dmos.ci95[k] >= max(ci_s, ci_d) / math.sqrt(2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(panel=paired_panels())
+    def test_gathered_columns_are_bitwise_the_per_pair_loop(self, panel):
+        matrix, pairing = panel
+        table = compute_mos(matrix)
+        got = outcome(compute_dmos, table, pairing)
+        want = outcome(rowwise_compute_dmos, table, pairing)
+        assert got[0] == want[0]
+        if got[0] != "ok":
+            assert got == want
+            return
+        assert_same_table(got[1], want[1])
 
 
 class TestBt500Screen:
@@ -475,8 +534,7 @@ class TestRecoverMle:
         for seed in range(20):
             matrix, psi, _, _ = simulate_biased_scores(seed)
             model = recover_mle(matrix)
-            mos = compute_mos(matrix)
-            mos_vals = np.array([mos[e].mos for e in matrix.stimuli])
+            mos_vals = compute_mos(matrix).mos
             rmse_rec = float(np.sqrt(np.mean((np.array(model.psi) - psi) ** 2)))
             rmse_mos = float(np.sqrt(np.mean((mos_vals - psi) ** 2)))
             wins += rmse_rec < rmse_mos
@@ -530,18 +588,6 @@ class TestRecoverMle:
         nu = np.array(model.nu)
         expected = 1.96 / math.sqrt(float((1.0 / nu**2).sum()))
         assert model.ci95[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_presets_share_the_solver(self):
-        matrix, _, _, _ = simulate_biased_scores(23)
-        a = recover_mle(matrix, method="p910")
-        b = recover_mle(matrix, method="p913")
-        assert a.psi == b.psi
-        assert a.method == "p910" and b.method == "p913"
-
-    def test_unknown_method_rejected(self):
-        matrix, _, _, _ = simulate_biased_scores(25)
-        with pytest.raises(ValueError):
-            recover_mle(matrix, method="p999")
 
     def test_subject_with_one_score_rejected(self):
         scores = np.array([[50.0, np.nan, np.nan], [40.0, 50.0, 60.0], [45.0, 55.0, 65.0]])
