@@ -56,11 +56,12 @@ class EncodeResult:
     artifacts: dict | None = None
 
 
-def _encode_labelled(encode, request: EncodeRequest) -> EncodeResult:
+def _encode_labelled(encode, request: EncodeRequest) -> EncodeResult | BackendFailure:
+    """encode(request), or the BackendFailure it raised, labelled with the qp."""
     try:
         return encode(request)
     except BackendFailure as exc:
-        raise BackendFailure(f"qp {request.qp}: {exc}") from exc
+        return BackendFailure(f"qp {request.qp}: {exc}")
 
 
 class EncoderBackend(abc.ABC):
@@ -71,18 +72,10 @@ class EncoderBackend(abc.ABC):
     def encode(self, request: EncodeRequest) -> EncodeResult:
         raise NotImplementedError
 
-    def encode_many(self, requests) -> list[EncodeResult]:
-        """Results in request order. Every request is attempted; then the
-        first BackendFailure, in request order, is re-raised with its qp."""
-        results, failures = [], []
-        for r in requests:
-            try:
-                results.append(_encode_labelled(self.encode, r))
-            except BackendFailure as exc:
-                failures.append(exc)
-        if failures:
-            raise failures[0]
-        return results
+    def encode_many(self, requests) -> list[EncodeResult | BackendFailure]:
+        """Per request, in request order, its result or its BackendFailure
+        labelled with its qp: a failure does not stop the batch."""
+        return [_encode_labelled(self.encode, r) for r in requests]
 
 
 @dataclass(frozen=True)
@@ -145,6 +138,29 @@ class SyntheticBackend(EncoderBackend):
         return synthetic_encode(model, request)
 
 
+def _positive(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value) and value > 0
+
+
+def _object_of(ok):
+    return lambda value: isinstance(value, dict) and all(map(ok, value.values()))
+
+
+# ProcessBackend field: (what its value must be, the test), checked on construction
+_PROCESS_FIELDS = {
+    "encode_template": ("a string", lambda v: isinstance(v, str)),
+    "metric_template": ("a string", lambda v: isinstance(v, str)),
+    "settings": ("an object of settings profiles, each an object",
+                 _object_of(lambda v: isinstance(v, dict))),
+    "timeout_s": ("a positive number", _positive),
+    "pool_size": ("a positive integer", lambda v: type(v) is int and v > 0),
+    "stats_keys": ("an object of strings", _object_of(lambda v: isinstance(v, str))),
+    "clip_durations": ("an object of positive numbers", _object_of(_positive)),
+    "default_duration_s": ("a positive number or null", lambda v: v is None or _positive(v)),
+    "workdir": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 @dataclass
 class ProcessBackend(EncoderBackend):
     """Drives an external encoder plus metric tool through command templates.
@@ -156,7 +172,8 @@ class ProcessBackend(EncoderBackend):
     container size over the clip duration; quality from the metric stats
     JSON under the metric key.
     encode_many runs up to pool_size encodes at once on the backend's executor,
-    whose idle threads exit once the backend is garbage-collected.
+    whose idle threads exit once the backend is garbage-collected. A field of
+    the wrong type is a ValueError naming it as backend.<field>.
     """
 
     encode_template: str
@@ -170,11 +187,14 @@ class ProcessBackend(EncoderBackend):
     workdir: str = "."
 
     def __post_init__(self) -> None:
-        self._pool = ThreadPoolExecutor(max_workers=max(1, int(self.pool_size)))
+        for name, (what, ok) in _PROCESS_FIELDS.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"backend.{name}: expected {what}, got {getattr(self, name)!r}")
+        self._pool = ThreadPoolExecutor(max_workers=self.pool_size)
 
     def _duration(self, clip: str) -> float:
         dur = self.clip_durations.get(clip, self.default_duration_s)
-        if dur is None or dur <= 0:
+        if dur is None:
             raise BackendFailure(f"no duration configured for clip {clip!r}")
         return dur
 
@@ -241,30 +261,36 @@ class ProcessBackend(EncoderBackend):
         return EncodeResult(rate=rate, quality=float(quality),
                             artifacts={"bitstream": str(out), "stats": str(stats)})
 
-    def encode_many(self, requests) -> list[EncodeResult]:
-        """Concurrent encode_many; a failure is raised once the whole batch is done."""
+    def encode_many(self, requests) -> list[EncodeResult | BackendFailure]:
+        """Concurrent encode_many; it returns once the whole batch is done."""
         futures = [self._pool.submit(_encode_labelled, self.encode, r) for r in requests]
         wait(futures)
         return [f.result() for f in futures]
 
 
+def curve_requests(clip: str, ks: LambdaMultipliers, qps, settings: str = "native",
+                   metric_id: str = "ms_ssim") -> list[EncodeRequest]:
+    """The requests of the curve at ks, one per qp in order."""
+    return [EncodeRequest(clip=clip, qp=qp, ks=ks, settings=settings, metric_id=metric_id)
+            for qp in qps]
+
+
 def build_rd_curve(backend: EncoderBackend, clip: str, ks: LambdaMultipliers,
                    qps, settings: str = "native", metric_id: str = "ms_ssim") -> RdCurve:
     """Encode the clip once per qp, as one backend.encode_many batch, and
-    assemble the curve."""
+    assemble the curve; the batch's first failure, in qp order, is raised."""
     qps = list(qps)
     if len(qps) < 2:
         raise ValueError(f"need >= 2 qps, got {qps}")
     if len(set(qps)) != len(qps):
         raise ValueError(f"duplicate qp in {qps}")
-    requests = [
-        EncodeRequest(clip=clip, qp=qp, ks=ks, settings=settings, metric_id=metric_id)
-        for qp in qps
-    ]
-    points = [
-        RdPoint(rate=res.rate, quality=res.quality, qp=req.qp)
-        for req, res in zip(requests, backend.encode_many(requests))
-    ]
+    requests = curve_requests(clip, ks, qps, settings, metric_id)
+    results = backend.encode_many(requests)
+    for res in results:
+        if isinstance(res, BackendFailure):
+            raise res
+    points = [RdPoint(rate=res.rate, quality=res.quality, qp=req.qp)
+              for req, res in zip(requests, results)]
     return build_curve(points, metric_id)
 
 

@@ -59,7 +59,9 @@ def _write_table(path: Path, column: str, table: MosTable) -> None:
 
 
 def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
-                    exit_code: int, config: str | None = None) -> None:
+                    exit_code: int, config: str | None = None, **extra) -> None:
+    """manifest.json in the output directory; extra holds the command's
+    own run facts."""
     doc = {
         "command": command,
         "inputs": inputs,
@@ -68,6 +70,7 @@ def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
         "started": args.started,
         "finished": _now(),
         "exit_code": exit_code,
+        **extra,
     }
     with open(Path(args.out) / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -92,6 +95,7 @@ def cmd_optimize(args) -> int:
         if Path(args.cache).exists():
             cache.load(args.cache)
     outputs: list[Path] = []
+    sent: dict[str, dict[str, int]] = {}  # per clip: encodes and backend batches
     for clip in args.clips:
         ks, trace = optimize_clip(
             backend, clip, config, proxy=args.proxy, cache=cache
@@ -122,10 +126,11 @@ def cmd_optimize(args) -> int:
             ],
         )
         outputs += [result_path, trace_path]
+        sent[clip] = {"encodes": trace.encode_count, "batches": trace.batch_count}
         print(f"{clip}: k1={ks.k1:.6g} k2={ks.k2:.6g} cost={trace.best[1]:.6g}%")
     if args.cache:
         cache.save(args.cache)
-    _write_manifest(args, "optimize", list(args.clips), outputs, 0, args.config)
+    _write_manifest(args, "optimize", list(args.clips), outputs, 0, args.config, clips=sent)
     return 0
 
 

@@ -6,7 +6,9 @@ exactly zero and any negative best cost is a real improvement. Encodes are
 memoized by (clip, settings, metric, qp, k1, k2) since the search revisits
 points. The search is perclip.powell's quadratic-model trust region from
 (1, 1); it stops once its model predicts the cost to COST_RESOLUTION, or
-else once it resolves the ks to K_RESOLUTION.
+else once it resolves the ks to K_RESOLUTION. Encodes that miss the cache
+go to the backend in batches: the baseline's, those of a stencil's axis
+probes together, and those of every other point on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backends import EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers, build_rd_curve
+from .backends import (EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers,
+                       build_rd_curve, curve_requests)
 from .bd import bd_rate
 from .curves import RdCurve
 from .errors import BackendFailure, NoOverlap, NonAscendingAbscissae, TooFewPoints
@@ -54,9 +57,13 @@ class OptimizationConfig:
     def __post_init__(self) -> None:
         if len(set(self.qps)) != len(self.qps):
             raise ValueError(f"duplicate qp in {self.qps}")
-        for qp in self.qps:
+        for qp in self.qps:  # an encode cache row holds an integer qp
+            if type(qp) is not int:
+                raise ValueError(f"qp {qp!r} is not an integer")
             if not 0 <= qp <= 63:
                 raise ValueError(f"qp {qp} outside [0, 63]")
+        if not isinstance(self.metric_id, str):
+            raise ValueError(f"metric_id must be a string, got {self.metric_id!r}")
         k_min, k_max = self.bounds
         if not 0.0 < k_min < 1.0 < k_max:
             raise ValueError(f"bounds must be positive and straddle 1.0, got {self.bounds}")
@@ -75,6 +82,7 @@ class OptimizationTrace:
     best: tuple[LambdaMultipliers, float]
     iterations: int
     encode_count: int
+    batch_count: int  # backend batches the encodes went out in
     stop: str  # why the search ended: "model", "ftol" or "resolution"
 
 
@@ -167,29 +175,45 @@ class EncodeCache:
 
 
 class CachingEncoder(EncoderBackend):
-    """Backend wrapper that memoizes encodes and counts the real ones."""
+    """Backend wrapper that memoizes encodes and counts the real ones and
+    the batches they went out in. It also remembers each failed encode, so
+    no request goes to the backend twice in the wrapper's life."""
 
     def __init__(self, backend: EncoderBackend, cache: EncodeCache | None = None):
         self.backend = backend
         self.cache = cache if cache is not None else EncodeCache()
         self.encodes_issued = 0
+        self.batches_sent = 0
+        self._failed: dict[tuple, BackendFailure] = {}
 
     def encode(self, request: EncodeRequest) -> EncodeResult:
-        return self.encode_many([request])[0]
+        result = self.encode_many([request])[0]
+        if isinstance(result, BackendFailure):
+            raise result
+        return result
 
-    def encode_many(self, requests) -> list[EncodeResult]:
-        """Answer hits from the cache and send the misses, in request order,
-        to the wrapped backend as one batch. The misses count as issued
-        even when the batch fails."""
-        results = [self.cache.get(r) for r in requests]
-        misses = [i for i, res in enumerate(results) if res is None]
+    def encode_many(self, requests) -> list[EncodeResult | BackendFailure]:
+        return self.fetch(requests)[0]
+
+    def fetch(self, requests) -> tuple[list[EncodeResult | BackendFailure], list[bool]]:
+        """encode_many's results, and per request whether it was sent.
+
+        Hits come from the cache and earlier failures from memory; the other
+        requests go, in request order, to the wrapped backend as one batch,
+        whose successes are cached."""
+        results = [self.cache.get(r) or self._failed.get(EncodeCache.key(r)) for r in requests]
+        sent = [res is None for res in results]
+        misses = [i for i, miss in enumerate(sent) if miss]
         if misses:
             self.encodes_issued += len(misses)
-            fresh = self.backend.encode_many([requests[i] for i in misses])
-            for i, res in zip(misses, fresh):
-                self.cache.put(requests[i], res)
+            self.batches_sent += 1
+            for i, res in zip(misses, self.backend.encode_many([requests[i] for i in misses])):
+                if isinstance(res, BackendFailure):
+                    self._failed[EncodeCache.key(requests[i])] = res
+                else:
+                    self.cache.put(requests[i], res)
                 results[i] = res
-        return results
+        return results, sent
 
 
 def evaluate_cost(
@@ -251,24 +275,34 @@ def optimize_clip(
     except (NoOverlap, TooFewPoints, NonAscendingAbscissae) as exc:
         raise type(exc)(
             f"clip {clip!r}: baseline curve not comparable with itself ({exc})") from exc
-    hits: list[bool] = []  # per evaluation: issued no encode
+    hits: list[bool] = []  # per evaluation: the cache answered all its encodes
 
-    def cost(x) -> float:
+    def cost(x, sent: bool = False) -> float:
+        """The cost at x; sent tells that a batch issued its encodes."""
         ks, issued = _ks(x), enc.encodes_issued
         try:
             value = evaluate_cost(enc, clip, ks, baseline, config, settings=settings)
-        except BackendFailure as exc:
+            hits.append(not sent and enc.encodes_issued == issued)
+        except BackendFailure as exc:  # also when the failure was remembered, not re-sent
             log.warning("encode failed at (%.4f, %.4f): %s; using +inf", ks.k1, ks.k2, exc)
             value = math.inf
-        hits.append(enc.encodes_issued == issued)
+            hits.append(False)
         return value
+
+    def costs(xs) -> list[float]:
+        """cost at each of xs, in order, after sending all their encodes
+        that miss the cache to the backend as one batch."""
+        n = len(config.qps)
+        _, sent = enc.fetch([r for x in xs for r in curve_requests(
+            clip, _ks(x), config.qps, settings, config.metric_id)])
+        return [cost(x, any(sent[i * n:(i + 1) * n])) for i, x in enumerate(xs)]
 
     k_min, k_max = config.bounds
     result = powell_box_minimize(cost, (1.0, 1.0), (k_min, k_min), (k_max, k_max),
-                                 K_RESOLUTION, COST_RESOLUTION)
+                                 K_RESOLUTION, COST_RESOLUTION, f_many=costs)
     evaluations = tuple(CostEvaluation(ks=_ks(x), cost=value, cache_hit=hit)
                         for (x, value), hit in zip(result.evaluations, hits))
     best = _ks(result.x)
     return best, OptimizationTrace(evaluations=evaluations, best=(best, result.fx),
                                    iterations=result.iterations, encode_count=enc.encodes_issued,
-                                   stop=result.stop)
+                                   batch_count=enc.batches_sent, stop=result.stop)

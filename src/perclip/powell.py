@@ -2,17 +2,21 @@
 after Powell's UOBYQA (Math. Program. 2002) and BOBYQA (2009).
 
 The point set starts as x0, x0 +- rho*e_i and, per pair of axes, the
-diagonal toward the better axis probes. Each step fits a full quadratic
-through the best point to the set's finite costs and moves to its exact
-minimum over the box and ||s||inf <= delta. The ratio of the actual to the
-predicted decrease resizes delta, never below rho. With no useful step
-left, the search ends once its model is validated: its error at the latest
-point it placed and its best decrease over the whole box are both below the
-caller's cost resolution. Otherwise a point farther than 3*delta from the
-best gives way to the best's neighbour at distance rho in its direction, or
-else rho shrinks fivefold, down to xtol, where the search ends too, as it
-does once every cost of a full point set is within FTOL (relative) of the
-best. The cost at x0 must be finite; a +inf cost never enters the model.
+diagonal toward the better axis probes. The axis probes do not depend on
+each other's costs, so they are evaluated as one batch, axis by axis:
+f_many, if the caller gives it, takes them in one call, or else f takes
+them in turn. Each step fits a full quadratic through the best point to
+the set's finite costs and moves to its exact minimum over the box and
+||s||inf <= delta. The ratio of the actual to the predicted decrease
+resizes delta, never below rho. With no useful step left, the search
+ends once its model is validated: its error at the latest point it
+placed and its best decrease over the whole box are both below the
+caller's cost resolution. Otherwise a point farther than 3*delta from
+the best gives way to the best's neighbour at distance rho in its
+direction, or else rho shrinks fivefold, down to xtol, where the search
+ends too, as it does once every cost of a full point set is within FTOL
+(relative) of the best. The cost at x0 must be finite; a +inf cost never
+enters the model.
 """
 
 from __future__ import annotations
@@ -104,10 +108,12 @@ def _box_min(g, h, lo, hi) -> tuple[list[float], float]:
 
 
 def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
-                        cost_resolution: float = 0.0) -> PowellResult:
+                        cost_resolution: float = 0.0, f_many=None) -> PowellResult:
     """Minimize f over the box [lower, upper] from x0 to a resolution of
     xtol, or until its model is validated to cost_resolution (never, at 0);
-    iterations counts resolutions rho. f(x0) must be finite."""
+    iterations counts resolutions rho. f(x0) must be finite. f_many(xs),
+    if given, returns the costs of the points xs in order and takes every
+    batch of stencil probes; by default each goes to f in turn."""
     x0, lower, upper = (tuple(map(float, v)) for v in (x0, lower, upper))
     if any(lo >= hi for lo, hi in zip(lower, upper)):
         raise ValueError("each lower bound must be below its upper bound")
@@ -122,14 +128,23 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
     def clip(x) -> tuple[float, ...]:
         return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper))
 
+    def each(xs) -> list[float]:
+        return [f(x) for x in xs]
+
+    def call_many(xs, costs=f_many or each) -> list[float]:
+        """Costs at the points xs clipped to the box; each point is evaluated
+        once, and those not evaluated yet go to costs in one call."""
+        xs = [clip(x) for x in xs]
+        new = list(dict.fromkeys(x for x in xs if x not in seen))
+        if new:
+            for x, v in zip(new, costs([np.array(x) for x in new]), strict=True):
+                seen[x] = float(v)
+                if seen[x] < math.inf:
+                    pts.append((x, seen[x]))
+        return [seen[x] for x in xs]
+
     def call(x) -> float:
-        """f at x clipped to the box, evaluated once per point."""
-        x = clip(x)
-        if x not in seen:
-            seen[x] = float(f(np.array(x)))
-            if seen[x] < math.inf:
-                pts.append((x, seen[x]))
-        return seen[x]
+        return call_many([x], each)[0]
 
     def shifted(x, i, t):
         return x[:i] + (x[i] + t,) + x[i + 1:]
@@ -138,17 +153,19 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
         return max(map(abs, map(sub, x, y)))
 
     def stencil(c) -> int:
-        """Evaluate c, c +- rho*e_i (both inward at a bound) and, per pair of
-        axes, the diagonal toward the better probes; count the new points."""
+        """Around c, evaluated already, evaluate c +- rho*e_i (both inward at
+        a bound) as one batch, then, per pair of axes, the diagonal toward
+        the better probes; count the new points."""
         count = len(seen)
-        call(c)
-        better = []
+        steps = []
         for i in range(n):
             up, down = upper[i] - c[i], c[i] - lower[i]
-            steps = ((-rho, -min(2.0 * rho, down)) if up < rho / 2.0 else
-                     (rho, min(2.0 * rho, up)) if down < rho / 2.0 else
-                     (min(rho, up), -min(rho, down)))
-            better.append(min(steps, key=lambda t: call(shifted(c, i, t))))
+            steps.append((-rho, -min(2.0 * rho, down)) if up < rho / 2.0 else
+                         (rho, min(2.0 * rho, up)) if down < rho / 2.0 else
+                         (min(rho, up), -min(rho, down)))
+        probes = call_many([shifted(c, i, t) for i, pair in enumerate(steps) for t in pair])
+        better = [pair[1] if probes[2 * i + 1] < probes[2 * i] else pair[0]
+                  for i, pair in enumerate(steps)]
         for i, j in itertools.combinations(range(n), 2):
             call(shifted(shifted(c, i, better[i]), j, better[j]))
         return len(seen) - count

@@ -20,7 +20,7 @@ from perclip import (
     build_rd_curve,
     synthetic_encode,
 )
-from perclip.backends import backend_from_config
+from perclip.backends import EncodeResult, backend_from_config
 from perclip.errors import BackendFailure
 
 KS_DEFAULT = LambdaMultipliers(1.0, 1.0)
@@ -175,6 +175,22 @@ class TestBuildRdCurve:
         )
         with pytest.raises(BackendFailure, match="qp 49: .*exited 5"):
             build_rd_curve(backend, "c", KS_DEFAULT, (27, 49, 63))
+        # the batch reports each request's own outcome; a failure stops nothing
+        results = backend.encode_many([req(qp, clip="c") for qp in (27, 49, 63)])
+        assert [type(r) for r in results] == [EncodeResult, BackendFailure, EncodeResult]
+        assert str(results[1]).startswith("qp 49: ")
+
+    def test_serial_batch_reports_each_failure_in_place(self):
+        class Broken(SyntheticBackend):
+            def encode(self, request):
+                if request.qp == 49:
+                    raise BackendFailure("synthetic fault")
+                return super().encode(request)
+
+        results = Broken().encode_many([req(qp) for qp in (27, 49, 63)])
+        assert [type(r) for r in results] == [EncodeResult, BackendFailure, EncodeResult]
+        assert str(results[1]) == "qp 49: synthetic fault"
+        assert results[2] == SyntheticBackend().encode(req(63))
 
 
 FAKE_ENCODER = """#!/bin/sh
@@ -419,6 +435,22 @@ class TestBackendFromConfig:
     ])
     def test_unknown_key_names_section_and_key(self, cfg, section, key):
         with pytest.raises(ValueError, match=f"^{section}: unknown key '{key}'"):
+            backend_from_config(cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("encode_template", None),
+        ("settings", {"native": []}),
+        ("timeout_s", float("inf")),
+        ("pool_size", 0),
+        ("pool_size", 2.5),
+        ("stats_keys", {"ms_ssim": 3}),
+        ("clip_durations", {"clip.y4m": -1.0}),
+        ("default_duration_s", True),
+        ("workdir", 5),
+    ])
+    def test_process_value_of_wrong_type_names_the_key(self, key, value):
+        cfg = {"kind": "process", "encode_template": "e", "metric_template": "m", key: value}
+        with pytest.raises(ValueError, match=f"^backend\\.{key}: expected "):
             backend_from_config(cfg)
 
     def test_missing_template_is_value_error(self):

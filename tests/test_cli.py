@@ -275,6 +275,65 @@ class TestOptimizeCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {cfg_path}: ")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["optimizer"].update(qps=[27.5, 39, 49, 59, 63]),
+         "qp 27.5 is not an integer"),
+        (lambda cfg: cfg["optimizer"].update(qps=[True, 39, 49, 59, 63]),
+         "qp True is not an integer"),
+        (lambda cfg: cfg["optimizer"].update(metric_id=5),
+         "metric_id must be a string, got 5"),
+    ], ids=["qp-float", "qp-bool", "metric-int"])
+    def test_optimizer_value_the_cache_cannot_hold_exits_1(self, tmp_path, capsys, edit,
+                                                          message):
+        # such values used to be written to --cache, whose next load failed
+        cfg = json.loads((DATA / "backend_synthetic.json").read_text())
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        cache = tmp_path / "cache.json"
+        code = run("--out", tmp_path, "optimize", "meadow", "--config", cfg_path,
+                   "--cache", cache)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("timeout_s", "x"),
+        ("default_duration_s", "8"),
+        ("settings", [1]),
+        ("settings", {"native": 5}),
+        ("clip_durations", [1]),
+    ], ids=["timeout", "duration", "settings-list", "settings-profile", "durations"])
+    def test_process_backend_value_of_wrong_type_exits_1(self, tmp_path, capsys, key, value):
+        cfg = {"backend": {"kind": "process", "encode_template": "true",
+                           "metric_template": "true", "default_duration_s": 5.0,
+                           "workdir": str(tmp_path), key: value}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run("--out", tmp_path, "optimize", "clip", "--config", cfg_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: backend.{key}: ")
+
+    def test_rerun_with_the_cache_sends_no_batch(self, tmp_path):
+        config, cache = DATA / "backend_synthetic.json", tmp_path / "cache.json"
+        clips = ("meadow", "harbor", "lanterns")
+        runs = []
+        for name in ("cold", "warm"):
+            assert run("--out", tmp_path / name, "optimize", *clips, "--config", config,
+                       "--cache", cache) == 0
+            runs.append(json.loads((tmp_path / name / "manifest.json").read_text())["clips"])
+        cold, warm = runs
+        for clip in clips:
+            result = json.loads((tmp_path / "cold" / f"{clip}.result.json").read_text())
+            evaluations = len(read_rows(tmp_path / "cold" / f"{clip}.trace.csv"))
+            # the baseline is one batch, the start point is its cache hit
+            # and the first stencil's four axis probes are one batch
+            assert cold[clip] == {"encodes": result["encodes"], "batches": evaluations - 3}
+            assert warm[clip] == {"encodes": 0, "batches": 0}
+
     def test_python_m_runs_the_cli(self):
         proc = subprocess.run(
             [sys.executable, "-m", "perclip.cli", "--help"],

@@ -284,6 +284,22 @@ class TestCachingEncoder:
         assert enc.encodes_issued == 3
         assert curve == build_rd_curve(SyntheticBackend(), "c", ks, QPS)
 
+    def test_failed_batch_caches_its_successes_and_sends_no_request_twice(self):
+        class Fails49(self.Recording):
+            def encode(self, request):
+                if request.qp == 49:
+                    raise BackendFailure("synthetic fault")
+                return super().encode(request)
+
+        inner, cache = Fails49(), EncodeCache()
+        enc = CachingEncoder(inner, cache)
+        for _ in range(2):
+            with pytest.raises(BackendFailure, match="qp 49: synthetic fault"):
+                build_rd_curve(enc, "c", LambdaMultipliers(1.2, 0.9), QPS)
+        assert inner.batches == [list(QPS)]
+        assert len(cache) == len(QPS) - 1
+        assert (enc.encodes_issued, enc.batches_sent) == (len(QPS), 1)
+
     def test_repeated_curve_sends_nothing(self):
         inner = self.Recording()
         enc = CachingEncoder(inner)
@@ -294,7 +310,49 @@ class TestCachingEncoder:
         assert enc.encodes_issued == len(QPS)
 
 
+class RecordsBatches(SyntheticBackend):
+    """Keeps each batch it is sent as a list of (qp, k1, k2)."""
+
+    def __init__(self, model=None):
+        super().__init__(model)
+        self.batches = []
+
+    def encode_many(self, requests):
+        self.batches.append([(r.qp, r.ks.k1, r.ks.k2) for r in requests])
+        return super().encode_many(requests)
+
+
+# the first stencil's axis probes from (1, 1), in the order the search takes them
+AXIS_PROBES = ((1.25, 1.0), (0.75, 1.0), (1.0, 1.25), (1.0, 0.75))
+
+
 class TestOptimizeClip:
+    def test_first_stencil_is_one_batch(self):
+        backend = RecordsBatches()
+        _, trace = optimize_clip(backend, "clip")
+        baseline, probes, *rest = backend.batches
+        assert baseline == [(qp, 1.0, 1.0) for qp in QPS]
+        assert probes == [(qp, *ks) for ks in AXIS_PROBES for qp in QPS]
+        assert [len(batch) for batch in rest] == [len(QPS)] * len(rest)
+        # the start point is the baseline's cache hit; every other point past
+        # the probes is a batch of its own
+        assert trace.batch_count == len(backend.batches) == len(trace.evaluations) - 3
+        assert trace.encode_count == sum(map(len, backend.batches))
+        assert [(e.ks.k1, e.ks.k2) for e in trace.evaluations[1:5]] == list(AXIS_PROBES)
+
+    def test_cache_hit_marks_the_points_that_issued_no_encode(self):
+        cache, backend = EncodeCache(), RecordsBatches()
+        for qp in QPS:  # the curve of the second probe is cached beforehand
+            request = EncodeRequest(clip="clip", qp=qp, ks=LambdaMultipliers(*AXIS_PROBES[1]))
+            cache.put(request, backend.encode(request))
+        _, trace = optimize_clip(backend, "clip", cache=cache)
+        assert [e.cache_hit for e in trace.evaluations[:5]] == [True, False, True, False, False]
+        assert len(backend.batches[1]) == 3 * len(QPS)
+        assert not any(e.cache_hit for e in trace.evaluations[5:])
+        _, again = optimize_clip(backend, "clip", cache=cache)
+        assert all(e.cache_hit for e in again.evaluations)
+        assert (again.encode_count, again.batch_count) == (0, 0)
+
     def test_synthetic_encodes_run_on_the_calling_thread(self):
         threads = set()
 
@@ -444,15 +502,18 @@ class TestOptimizeClip:
         assert any(math.isinf(e.cost) for e in trace.evaluations) or ks.k1 <= 3.0
 
     class FailsOneQp(SyntheticBackend):
-        """Counts its encodes; qp bad_qp fails whenever k1 > 1.2."""
+        """Counts its encodes and keeps the cache keys of their requests;
+        qp bad_qp fails whenever k1 > 1.2."""
 
         def __init__(self, bad_qp):
             super().__init__()
             self.bad_qp = bad_qp
             self.calls = 0
+            self.keys = set()
 
         def encode(self, request):
             self.calls += 1
+            self.keys.add(EncodeCache.key(request))
             if request.qp == self.bad_qp and request.ks.k1 > 1.2:
                 raise BackendFailure("simulated crash")
             return super().encode(request)
@@ -472,6 +533,21 @@ class TestOptimizeClip:
         _, trace = optimize_clip(backend, "clip")
         assert any(math.isinf(e.cost) for e in trace.evaluations)
         assert trace.encode_count == backend.calls
+
+    def test_failed_probe_costs_only_its_own_point(self):
+        backend = self.FailsOneQp(63)  # the probe (1.25, 1) fails at qp 63
+        cache = EncodeCache()
+        _, trace = optimize_clip(backend, "clip", cache=cache)
+        probes = trace.evaluations[1:5]
+        assert [(e.ks.k1, e.ks.k2) for e in probes] == list(AXIS_PROBES)
+        assert [math.isinf(e.cost) for e in probes] == [True, False, False, False]
+        assert not any(e.cache_hit for e in probes)
+        failed = LambdaMultipliers(*AXIS_PROBES[0])
+        assert [cache.get(EncodeRequest(clip="clip", qp=qp, ks=failed)) is not None
+                for qp in QPS] == [True] * (len(QPS) - 1) + [False]
+        # the search comes back within the cache key's rounding of a failed
+        # request; the failure is remembered, not sent again
+        assert backend.calls == len(backend.keys) == trace.encode_count
 
     def test_baseline_not_comparable_with_itself_is_fatal(self):
         class Flat(SyntheticBackend):

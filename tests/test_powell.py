@@ -134,6 +134,35 @@ class TestPowellMinimize:
             minimize(lambda x: math.inf)
 
 
+class TestStencilBatch:
+    @pytest.mark.parametrize("x0, probes, count", [
+        ((1.0, 1.0), [(1.25, 1.0), (0.75, 1.0), (1.0, 1.25), (1.0, 0.75)], 13),
+        # both probes of an axis step inward from a bound
+        ((0.25, 3.95), [(0.5, 3.95), (0.75, 3.95), (0.25, 3.7), (0.25, 3.45)], 20),
+    ], ids=["interior", "near-corner"])
+    def test_axis_probes_are_one_batch_and_a_scalar_f_sees_them_in_turn(self, x0, probes,
+                                                                         count):
+        calls, batches = [], []
+
+        def f(x):
+            calls.append(tuple(x))
+            return quadratic_bowl(x)
+
+        def f_many(xs):
+            batches.append([tuple(x) for x in xs])
+            return [quadratic_bowl(x) for x in xs]
+
+        alone = powell_box_minimize(f, x0, (0.2, 0.2), (4.0, 4.0), 1e-4)
+        # the sequence the search evaluated before its probes were batched
+        assert calls == [x for x, _ in alone.evaluations]
+        assert calls[:5] == [x0, *probes] and len(calls) == count
+        calls.clear()
+        batched = powell_box_minimize(f, x0, (0.2, 0.2), (4.0, 4.0), 1e-4, f_many=f_many)
+        assert batched.evaluations == alone.evaluations
+        assert batches == [probes]
+        assert len(calls) == count - len(probes)
+
+
 @st.composite
 def box_problems(draw):
     """Bounds straddling 1, a start inside them and a bowl whose centre may
