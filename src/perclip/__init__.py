@@ -20,7 +20,6 @@ from .curves import (
     build_curve,
     enforce_monotone,
     pchip_fit,
-    read_curve_json,
     write_curve_json,
 )
 from .optimizer import (

@@ -13,7 +13,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import shlex
+import string
 import subprocess
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -173,7 +175,8 @@ class ProcessBackend(EncoderBackend):
     JSON under the metric key.
     encode_many runs up to pool_size encodes at once on the backend's executor,
     whose idle threads exit once the backend is garbage-collected. A field of
-    the wrong type is a ValueError naming it as backend.<field>.
+    the wrong type, or a template with a positional field ({} or {0}) or an
+    unbalanced brace, is a ValueError naming it as backend.<field>.
     """
 
     encode_template: str
@@ -190,6 +193,16 @@ class ProcessBackend(EncoderBackend):
         for name, (what, ok) in _PROCESS_FIELDS.items():
             if not ok(getattr(self, name)):
                 raise ValueError(f"backend.{name}: expected {what}, got {getattr(self, name)!r}")
+        for name in ("encode_template", "metric_template"):
+            template = getattr(self, name)
+            try:  # a field whose name, up to its first . or [, is empty or digits is positional
+                positional = [f for _, f, _, _ in string.Formatter().parse(template)
+                              if f is not None and re.match(r"\d*(?:[.[]|$)", f)]
+            except ValueError as exc:  # an unbalanced brace
+                raise ValueError(f"backend.{name}: {exc} in {template!r}") from None
+            if positional:
+                raise ValueError(f"backend.{name}: positional field {{{positional[0]}}} in "
+                                 f"{template!r}; placeholders are named, as {{input}}")
         self._pool = ThreadPoolExecutor(max_workers=self.pool_size)
 
     def _duration(self, clip: str) -> float:

@@ -15,8 +15,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .backends import backend_from_config, from_section, known_keys
 from .bd import bd_quality, bd_rate, bitrate_savings, default_anchors
 from .correlation import fit_logistic5, correlate
@@ -210,30 +208,18 @@ def cmd_scores(args) -> int:
         if args.recover:
             model = recover_mle(sub)
             path = out / f"psi{suffix}.csv"
-            _write_csv(
-                path,
-                ["pvs_id", "psi", "ci95"],
-                [
-                    [pvs, psi, ci]
-                    for pvs, psi, ci in zip(model.stimuli, model.psi, model.ci95)
-                ],
-            )
+            _write_csv(path, ["pvs_id", "psi", "ci95"],
+                       zip(model.stimuli, model.psi.tolist(), model.ci95.tolist()))
             outputs.append(path)
             path = out / f"subjects{suffix}.csv"
-            _write_csv(
-                path,
-                ["subject_id", "delta", "nu"],
-                [
-                    [s, d, v]
-                    for s, d, v in zip(model.subjects, model.delta, model.nu)
-                ],
-            )
+            _write_csv(path, ["subject_id", "delta", "nu"],
+                       zip(model.subjects, model.delta.tolist(), model.nu.tolist()))
             outputs.append(path)
 
         if pairing is not None:
             base = mos
             if args.dmos_from == "recovered":
-                base = MosTable(model.stimuli, np.array(model.psi), np.array(model.ci95), mos.n)
+                base = MosTable(model.stimuli, model.psi, model.ci95, mos.n)
             path = out / f"dmos{suffix}.csv"
             _write_table(path, "dmos", compute_dmos(base, pairing))
             outputs.append(path)

@@ -243,14 +243,9 @@ def enforce_monotone(curve: RdCurve) -> RdCurve:
     return RdCurve(points=tuple(curve.points[i] for i in kept), metric_id=curve.metric_id)
 
 
-def read_curve_json(path) -> RdCurve:
-    """Read a curve file: {"metric": id, "points": [{"rate_kbps", "quality", "qp"?}]}."""
-    curve, _ = load_curve_file(path)
-    return curve
-
-
 def load_curve_file(path) -> tuple[RdCurve, dict]:
-    """Read a curve file plus its optional annotations.
+    """Read a curve file, {"metric": id, "points": [{"rate_kbps", "quality",
+    "qp"?}]}, plus its optional annotations.
 
     Returns (curve, meta) where meta may carry "clip", "variant", and a
     "ci95" list aligned with the curve's (rate-sorted) points. "metric" and,

@@ -6,9 +6,12 @@ exactly zero and any negative best cost is a real improvement. Encodes are
 memoized by (clip, settings, metric, qp, k1, k2) since the search revisits
 points. The search is perclip.powell's quadratic-model trust region from
 (1, 1); it stops once its model predicts the cost to COST_RESOLUTION, or
-else once it resolves the ks to K_RESOLUTION. Encodes that miss the cache
-go to the backend in batches: the baseline's, those of a stencil's axis
-probes together, and those of every other point on its own.
+else once it resolves the ks to K_RESOLUTION. Each evaluation goes through
+one cost closure, which takes a list of points: a stencil's axis probes
+together, every other point alone. Encodes that miss the cache go to the
+backend in batches: the baseline's, those of the probes together, and
+those of every other point on its own. A clip's search asks the cache for
+each request once and sends no request to the backend twice.
 """
 
 from __future__ import annotations
@@ -174,23 +177,18 @@ class EncodeCache:
             self._data.update(entries)
 
 
-class CachingEncoder(EncoderBackend):
+class CachingEncoder:
     """Backend wrapper that memoizes encodes and counts the real ones and
-    the batches they went out in. It also remembers each failed encode, so
-    no request goes to the backend twice in the wrapper's life."""
+    the batches they went out in. It remembers every answer it gave,
+    result or failure, so in the wrapper's life the shared cache is asked
+    for each request once and no request goes to the backend twice."""
 
     def __init__(self, backend: EncoderBackend, cache: EncodeCache | None = None):
         self.backend = backend
         self.cache = cache if cache is not None else EncodeCache()
         self.encodes_issued = 0
         self.batches_sent = 0
-        self._failed: dict[tuple, BackendFailure] = {}
-
-    def encode(self, request: EncodeRequest) -> EncodeResult:
-        result = self.encode_many([request])[0]
-        if isinstance(result, BackendFailure):
-            raise result
-        return result
+        self._answers: dict[tuple, EncodeResult | BackendFailure] = {}
 
     def encode_many(self, requests) -> list[EncodeResult | BackendFailure]:
         return self.fetch(requests)[0]
@@ -198,22 +196,22 @@ class CachingEncoder(EncoderBackend):
     def fetch(self, requests) -> tuple[list[EncodeResult | BackendFailure], list[bool]]:
         """encode_many's results, and per request whether it was sent.
 
-        Hits come from the cache and earlier failures from memory; the other
-        requests go, in request order, to the wrapped backend as one batch,
-        whose successes are cached."""
-        results = [self.cache.get(r) or self._failed.get(EncodeCache.key(r)) for r in requests]
-        sent = [res is None for res in results]
-        misses = [i for i, miss in enumerate(sent) if miss]
+        Requests not answered before are looked up in the cache; the rest
+        go, in request order, to the wrapped backend as one batch, whose
+        successes are cached."""
+        keys = [EncodeCache.key(r) for r in requests]
+        for key, r in zip(keys, requests):
+            if key not in self._answers and (hit := self.cache.get(r)) is not None:
+                self._answers[key] = hit
+        misses = {k: r for k, r in zip(keys, requests) if k not in self._answers}
         if misses:
             self.encodes_issued += len(misses)
             self.batches_sent += 1
-            for i, res in zip(misses, self.backend.encode_many([requests[i] for i in misses])):
-                if isinstance(res, BackendFailure):
-                    self._failed[EncodeCache.key(requests[i])] = res
-                else:
-                    self.cache.put(requests[i], res)
-                results[i] = res
-        return results, sent
+            for (key, r), res in zip(misses.items(), self.backend.encode_many([*misses.values()])):
+                if not isinstance(res, BackendFailure):
+                    self.cache.put(r, res)
+                self._answers[key] = res
+        return [self._answers[k] for k in keys], [k in misses for k in keys]
 
 
 def evaluate_cost(
@@ -275,34 +273,30 @@ def optimize_clip(
     except (NoOverlap, TooFewPoints, NonAscendingAbscissae) as exc:
         raise type(exc)(
             f"clip {clip!r}: baseline curve not comparable with itself ({exc})") from exc
-    hits: list[bool] = []  # per evaluation: the cache answered all its encodes
-
-    def cost(x, sent: bool = False) -> float:
-        """The cost at x; sent tells that a batch issued its encodes."""
-        ks, issued = _ks(x), enc.encodes_issued
-        try:
-            value = evaluate_cost(enc, clip, ks, baseline, config, settings=settings)
-            hits.append(not sent and enc.encodes_issued == issued)
-        except BackendFailure as exc:  # also when the failure was remembered, not re-sent
-            log.warning("encode failed at (%.4f, %.4f): %s; using +inf", ks.k1, ks.k2, exc)
-            value = math.inf
-            hits.append(False)
-        return value
+    evaluations: list[CostEvaluation] = []
 
     def costs(xs) -> list[float]:
-        """cost at each of xs, in order, after sending all their encodes
-        that miss the cache to the backend as one batch."""
+        """The cost at each of xs, in order, each appended to evaluations.
+        The encodes of several points that miss the cache go to the
+        backend first, as one batch."""
         n = len(config.qps)
-        _, sent = enc.fetch([r for x in xs for r in curve_requests(
-            clip, _ks(x), config.qps, settings, config.metric_id)])
-        return [cost(x, any(sent[i * n:(i + 1) * n])) for i, x in enumerate(xs)]
+        sent = enc.fetch([r for x in xs for r in curve_requests(
+            clip, _ks(x), config.qps, settings, config.metric_id)])[1] if len(xs) > 1 else []
+        for i, x in enumerate(xs):
+            ks, issued = _ks(x), enc.encodes_issued
+            try:
+                cost = float(evaluate_cost(enc, clip, ks, baseline, config, settings=settings))
+                hit = enc.encodes_issued == issued and not any(sent[i * n:(i + 1) * n])
+            except BackendFailure as exc:  # also when the failure was remembered, not re-sent
+                log.warning("encode failed at (%.4f, %.4f): %s; using +inf", ks.k1, ks.k2, exc)
+                cost, hit = math.inf, False
+            evaluations.append(CostEvaluation(ks=ks, cost=cost, cache_hit=hit))
+        return [e.cost for e in evaluations[-len(xs):]]
 
     k_min, k_max = config.bounds
-    result = powell_box_minimize(cost, (1.0, 1.0), (k_min, k_min), (k_max, k_max),
-                                 K_RESOLUTION, COST_RESOLUTION, f_many=costs)
-    evaluations = tuple(CostEvaluation(ks=_ks(x), cost=value, cache_hit=hit)
-                        for (x, value), hit in zip(result.evaluations, hits))
+    result = powell_box_minimize(costs, (1.0, 1.0), (k_min, k_min), (k_max, k_max),
+                                 K_RESOLUTION, COST_RESOLUTION)
     best = _ks(result.x)
-    return best, OptimizationTrace(evaluations=evaluations, best=(best, result.fx),
+    return best, OptimizationTrace(evaluations=tuple(evaluations), best=(best, result.fx),
                                    iterations=result.iterations, encode_count=enc.encodes_issued,
                                    batch_count=enc.batches_sent, stop=result.stop)

@@ -1,22 +1,22 @@
 """Derivative-free minimization on a box by a quadratic-model trust region,
 after Powell's UOBYQA (Math. Program. 2002) and BOBYQA (2009).
 
-The point set starts as x0, x0 +- rho*e_i and, per pair of axes, the
+The cost function takes a list of points and returns their costs. The
+point set starts as x0, x0 +- rho*e_i and, per pair of axes, the
 diagonal toward the better axis probes. The axis probes do not depend on
-each other's costs, so they are evaluated as one batch, axis by axis:
-f_many, if the caller gives it, takes them in one call, or else f takes
-them in turn. Each step fits a full quadratic through the best point to
-the set's finite costs and moves to its exact minimum over the box and
-||s||inf <= delta. The ratio of the actual to the predicted decrease
-resizes delta, never below rho. With no useful step left, the search
-ends once its model is validated: its error at the latest point it
-placed and its best decrease over the whole box are both below the
-caller's cost resolution. Otherwise a point farther than 3*delta from
-the best gives way to the best's neighbour at distance rho in its
-direction, or else rho shrinks fivefold, down to xtol, where the search
-ends too, as it does once every cost of a full point set is within FTOL
-(relative) of the best. The cost at x0 must be finite; a +inf cost never
-enters the model.
+each other's costs, so they go to the cost function as one list, axis by
+axis; every other point goes alone. Each step fits a full quadratic
+through the best point to the set's finite costs and moves to its exact
+minimum over the box and ||s||inf <= delta. The ratio of the actual to
+the predicted decrease resizes delta, never below rho. With no useful
+step left, the search ends once its model is validated: its error at the
+latest point it placed and its best decrease over the whole box are both
+below the caller's cost resolution. Otherwise a point farther than
+3*delta from the best gives way to the best's neighbour at distance rho
+in its direction, or else rho shrinks fivefold, down to xtol, where the
+search ends too, as it does once every cost of a full point set is
+within FTOL (relative) of the best. The cost at x0 must be finite; a
++inf cost never enters the model.
 """
 
 from __future__ import annotations
@@ -108,12 +108,11 @@ def _box_min(g, h, lo, hi) -> tuple[list[float], float]:
 
 
 def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
-                        cost_resolution: float = 0.0, f_many=None) -> PowellResult:
-    """Minimize f over the box [lower, upper] from x0 to a resolution of
+                        cost_resolution: float = 0.0) -> PowellResult:
+    """Minimize over the box [lower, upper] from x0 to a resolution of
     xtol, or until its model is validated to cost_resolution (never, at 0);
-    iterations counts resolutions rho. f(x0) must be finite. f_many(xs),
-    if given, returns the costs of the points xs in order and takes every
-    batch of stencil probes; by default each goes to f in turn."""
+    iterations counts resolutions rho. f(xs) returns the costs of the
+    points xs in order; the cost at x0 must be finite."""
     x0, lower, upper = (tuple(map(float, v)) for v in (x0, lower, upper))
     if any(lo >= hi for lo, hi in zip(lower, upper)):
         raise ValueError("each lower bound must be below its upper bound")
@@ -128,23 +127,20 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
     def clip(x) -> tuple[float, ...]:
         return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper))
 
-    def each(xs) -> list[float]:
-        return [f(x) for x in xs]
-
-    def call_many(xs, costs=f_many or each) -> list[float]:
+    def call_many(xs) -> list[float]:
         """Costs at the points xs clipped to the box; each point is evaluated
-        once, and those not evaluated yet go to costs in one call."""
+        once, and those not evaluated yet go to f in one call."""
         xs = [clip(x) for x in xs]
         new = list(dict.fromkeys(x for x in xs if x not in seen))
         if new:
-            for x, v in zip(new, costs([np.array(x) for x in new]), strict=True):
+            for x, v in zip(new, f([np.array(x) for x in new]), strict=True):
                 seen[x] = float(v)
                 if seen[x] < math.inf:
                     pts.append((x, seen[x]))
         return [seen[x] for x in xs]
 
     def call(x) -> float:
-        return call_many([x], each)[0]
+        return call_many([x])[0]
 
     def shifted(x, i, t):
         return x[:i] + (x[i] + t,) + x[i + 1:]

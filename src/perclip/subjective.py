@@ -106,7 +106,8 @@ class ScreeningReport:
 
 @dataclass(frozen=True)
 class SubjectModel:
-    """Recovered quality and per-subject nuisance parameters.
+    """Recovered quality and per-subject nuisance parameters, as float64
+    columns in the order of stimuli or subjects.
 
     psi: per-stimulus quality; delta: per-subject bias (zero mean);
     nu: per-subject inconsistency (std, floored); ci95: per-stimulus
@@ -115,10 +116,10 @@ class SubjectModel:
 
     stimuli: tuple[str, ...]
     subjects: tuple[str, ...]
-    psi: tuple[float, ...]
-    delta: tuple[float, ...]
-    nu: tuple[float, ...]
-    ci95: tuple[float, ...]
+    psi: np.ndarray
+    delta: np.ndarray
+    nu: np.ndarray
+    ci95: np.ndarray
     loglik: float
     iterations: int
     loglik_trace: tuple[float, ...]
@@ -265,10 +266,10 @@ def recover_mle(matrix: ScoreMatrix) -> SubjectModel:
     return SubjectModel(
         stimuli=matrix.stimuli,
         subjects=matrix.subjects,
-        psi=tuple(float(v) for v in psi),
-        delta=tuple(float(v) for v in delta),
-        nu=tuple(float(v) for v in nu),
-        ci95=tuple(float(v) for v in ci95),
+        psi=psi,
+        delta=delta,
+        nu=nu,
+        ci95=ci95,
         loglik=trace[-1],
         iterations=sweeps,
         loglik_trace=tuple(trace),

@@ -187,7 +187,7 @@ def test_criterion_06_powell_unit_minima():
     # the default search box from (1, 1), resolved to 1e-4
     box = (1.0, 1.0), (0.2, 0.2), (4.0, 4.0), 1e-4
     bowl = lambda x: (x[0] - 1.3) ** 2 + (x[1] - 0.8) ** 2
-    res = powell_box_minimize(bowl, *box)
+    res = powell_box_minimize(lambda xs: [bowl(x) for x in xs], *box)
     k1, k2 = res.x
     if abs(k1 - 1.3) >= 1e-4 or abs(k2 - 0.8) >= 1e-4:
         failures.append(f"bowl minimum at ({k1:.6f}, {k2:.6f})")
@@ -195,7 +195,7 @@ def test_criterion_06_powell_unit_minima():
         failures.append(f"bowl used {len(res.evaluations)} evaluations")
 
     rosen = lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-    res = powell_box_minimize(rosen, *box)
+    res = powell_box_minimize(lambda xs: [rosen(x) for x in xs], *box)
     k1, k2 = res.x
     if abs(k1 - 1.0) >= 1e-3 or abs(k2 - 1.0) >= 1e-3:
         failures.append(f"rosenbrock minimum at ({k1:.6f}, {k2:.6f})")

@@ -453,6 +453,26 @@ class TestBackendFromConfig:
         with pytest.raises(ValueError, match=f"^backend\\.{key}: expected "):
             backend_from_config(cfg)
 
+    @pytest.mark.parametrize("key, template", [
+        ("encode_template", "true {0}"),
+        ("encode_template", "enc {input} {} {output}"),
+        ("encode_template", "enc {0.real}"),
+        ("metric_template", "met {[0]}"),
+        ("metric_template", "met {stats"),
+        ("metric_template", "met stats}"),
+    ], ids=["index", "auto", "index-attribute", "auto-item", "open", "close"])
+    def test_positional_field_or_unbalanced_brace_rejected(self, key, template):
+        fields = {"encode_template": "e {input}", "metric_template": "m {stats}", key: template}
+        with pytest.raises(ValueError) as info:
+            ProcessBackend(**fields)
+        assert str(info.value).startswith(f"backend.{key}: ")
+        assert repr(template) in str(info.value)
+
+    def test_named_fields_and_escaped_braces_accepted(self):
+        backend = ProcessBackend(encode_template="enc {input} {qp:d} {k1!r} {{x}}",
+                                 metric_template="met {stats} {output.real}")
+        assert backend.encode_template.startswith("enc")
+
     def test_missing_template_is_value_error(self):
         with pytest.raises(ValueError, match="^backend: .*metric_template"):
             backend_from_config({"kind": "process", "encode_template": "e"})

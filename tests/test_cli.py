@@ -317,6 +317,18 @@ class TestOptimizeCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: backend.{key}: ")
 
+    def test_positional_template_field_exits_1(self, tmp_path, capsys):
+        cfg = {"backend": {"kind": "process", "encode_template": "true {0}",
+                           "metric_template": "true", "default_duration_s": 5.0,
+                           "workdir": str(tmp_path)}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run("--out", tmp_path, "optimize", "clip", "--config", cfg_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line.split(":")[0] for line in err.splitlines()] == ["error"]
+        assert err.startswith("error: backend.encode_template: ")
+
     def test_rerun_with_the_cache_sends_no_batch(self, tmp_path):
         config, cache = DATA / "backend_synthetic.json", tmp_path / "cache.json"
         clips = ("meadow", "harbor", "lanterns")

@@ -15,9 +15,9 @@ from perclip import (
     build_curve,
     enforce_monotone,
     pchip_fit,
-    read_curve_json,
     write_curve_json,
 )
+from perclip.curves import load_curve_file
 from perclip.errors import (
     DuplicateRate,
     NonAscendingAbscissae,
@@ -370,7 +370,7 @@ class TestCurveJson:
         )
         path = tmp_path / "c.json"
         write_curve_json(curve, path, clip="clipA", variant="tuned", ci95=[0.5, 0.25])
-        back = read_curve_json(path)
+        back, _ = load_curve_file(path)
         assert back == curve
         doc = json.loads(path.read_text())
         assert doc["clip"] == "clipA"
@@ -382,13 +382,13 @@ class TestCurveJson:
             {"rate_kbps": 10, "quality": 1.0}
         ]}))
         with pytest.raises(TooFewPoints, match="^" + re.escape(str(path))):
-            read_curve_json(path)
+            load_curve_file(path)
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": []}))
         with pytest.raises(ValueError):
-            read_curve_json(path)
+            load_curve_file(path)
 
 
 class TestImmutability:

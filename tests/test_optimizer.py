@@ -1,5 +1,6 @@
 """Tests for cost evaluation, memoization, and the per-clip search."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -122,7 +123,7 @@ class TestEncodeCache:
         cache = EncodeCache()
         enc = CachingEncoder(backend, cache)
         request = EncodeRequest(clip="c", qp=27, ks=LambdaMultipliers(1.0, 1.0))
-        first = enc.encode(request)
+        first = enc.encode_many([request])[0]
         path = tmp_path / "cache.json"
         cache.save(path)
         fresh = EncodeCache()
@@ -353,6 +354,23 @@ class TestOptimizeClip:
         assert all(e.cache_hit for e in again.evaluations)
         assert (again.encode_count, again.batch_count) == (0, 0)
 
+    def test_search_asks_the_shared_cache_for_each_request_once(self):
+        class CountsGets(EncodeCache):
+            def __init__(self):
+                super().__init__()
+                self.gets = collections.Counter()
+
+            def get(self, request):
+                self.gets[self.key(request)] += 1
+                return super().get(request)
+
+        cache = CountsGets()
+        for _ in range(2):  # cold, then on the filled cache
+            cache.gets.clear()
+            _, trace = optimize_clip(SyntheticBackend(), "clip", cache=cache)
+            assert cache.gets and max(cache.gets.values()) == 1
+            assert len(cache.gets) == len(cache)
+
     def test_synthetic_encodes_run_on_the_calling_thread(self):
         threads = set()
 
@@ -392,11 +410,11 @@ class TestOptimizeClip:
     def test_confirming_iteration_probes_each_direction_at_most_twice(self, backend, baseline):
         config = OptimizationConfig()
 
-        def cost(x):
-            ks = LambdaMultipliers(*map(float, x))
-            return evaluate_cost(backend, "clip", ks, baseline, config)
+        def costs(xs):
+            return [evaluate_cost(backend, "clip", LambdaMultipliers(*map(float, x)), baseline,
+                                  config) for x in xs]
 
-        fine, coarse = (powell_box_minimize(cost, (1.0, 1.0), (0.2, 0.2), (4.0, 4.0), xtol)
+        fine, coarse = (powell_box_minimize(costs, (1.0, 1.0), (0.2, 0.2), (4.0, 4.0), xtol)
                         for xtol in (K_RESOLUTION, 2 * K_RESOLUTION))
         assert fine.iterations > coarse.iterations
         # the run that stops one resolution earlier is the same run up to there
@@ -406,11 +424,11 @@ class TestOptimizeClip:
     def test_validated_model_ends_the_same_search_earlier(self, backend, baseline):
         config = OptimizationConfig()
 
-        def cost(x):
-            ks = LambdaMultipliers(*map(float, x))
-            return evaluate_cost(backend, "clip", ks, baseline, config)
+        def costs(xs):
+            return [evaluate_cost(backend, "clip", LambdaMultipliers(*map(float, x)), baseline,
+                                  config) for x in xs]
 
-        full, early = (powell_box_minimize(cost, (1.0, 1.0), (0.2, 0.2), (4.0, 4.0),
+        full, early = (powell_box_minimize(costs, (1.0, 1.0), (0.2, 0.2), (4.0, 4.0),
                                            K_RESOLUTION, resolution)
                        for resolution in (0.0, COST_RESOLUTION))
         assert (full.stop, early.stop) == ("resolution", "model")

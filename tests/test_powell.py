@@ -19,10 +19,16 @@ def rosenbrock(x):
     return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
 
+def pointwise(f):
+    """The cost function of a list of points that the search takes, from
+    f, the cost of one point."""
+    return lambda xs: [f(x) for x in xs]
+
+
 def minimize(f, x0=(1.0, 1.0), lo=0.2, hi=4.0):
-    """f minimized over [lo, hi]^2, by default the search box of the
-    default OptimizationConfig, to a resolution of 1e-4."""
-    return powell_box_minimize(f, x0, (lo, lo), (hi, hi), 1e-4)
+    """f, the cost of one point, minimized over [lo, hi]^2, by default the
+    search box of the default OptimizationConfig, to a resolution of 1e-4."""
+    return powell_box_minimize(pointwise(f), x0, (lo, lo), (hi, hi), 1e-4)
 
 
 class TestPowellMinimize:
@@ -34,8 +40,8 @@ class TestPowellMinimize:
         assert res.stop == "resolution"
 
     def test_exact_model_stops_once_validated(self):
-        res = powell_box_minimize(quadratic_bowl, (1.0, 1.0), (0.2, 0.2), (4.0, 4.0), 1e-4,
-                                  cost_resolution=1e-9)
+        res = powell_box_minimize(pointwise(quadratic_bowl), (1.0, 1.0), (0.2, 0.2),
+                                  (4.0, 4.0), 1e-4, cost_resolution=1e-9)
         assert res.stop == "model"
         assert res.x[0] == pytest.approx(1.3, abs=1e-6)
         assert res.x[1] == pytest.approx(0.8, abs=1e-6)
@@ -84,7 +90,7 @@ class TestPowellMinimize:
     def test_arbitrary_dimension_core(self):
         target = np.array([0.3, 0.7, 0.1])
         res = powell_box_minimize(
-            lambda x: float(np.sum((x - target) ** 2)),
+            pointwise(lambda x: float(np.sum((x - target) ** 2))),
             x0=(0.5, 0.5, 0.5),
             lower=(0.0, 0.0, 0.0),
             upper=(1.0, 1.0, 1.0),
@@ -94,7 +100,7 @@ class TestPowellMinimize:
 
     def test_minimum_on_boundary(self):
         res = powell_box_minimize(
-            lambda x: float(x[0] + x[1]),
+            pointwise(lambda x: float(x[0] + x[1])),
             x0=(0.5, 0.5),
             lower=(0.2, 0.2),
             upper=(4.0, 4.0),
@@ -103,7 +109,7 @@ class TestPowellMinimize:
 
     def test_optimum_beyond_box_lands_on_the_bound(self):
         res = powell_box_minimize(
-            lambda x: float((x[0] - 4.5) ** 2 + (x[1] - 0.7) ** 2),
+            pointwise(lambda x: float((x[0] - 4.5) ** 2 + (x[1] - 0.7) ** 2)),
             x0=(1.0, 1.0),
             lower=(0.2, 0.2),
             upper=(4.0, 4.0),
@@ -115,7 +121,7 @@ class TestPowellMinimize:
         # points are told apart at 1e-6, the resolution of the encode
         # cache's key
         res = powell_box_minimize(
-            lambda x: float((x[0] - 4.5) ** 2 + (x[1] - 0.7) ** 2),
+            pointwise(lambda x: float((x[0] - 4.5) ** 2 + (x[1] - 0.7) ** 2)),
             x0=(1.0, 1.0),
             lower=(0.2, 0.2),
             upper=(4.0, 4.0),
@@ -125,9 +131,9 @@ class TestPowellMinimize:
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
-            powell_box_minimize(quadratic_bowl, x0=(1, 1), lower=(2, 2), upper=(1, 1))
+            powell_box_minimize(pointwise(quadratic_bowl), x0=(1, 1), lower=(2, 2), upper=(1, 1))
         with pytest.raises(ValueError):
-            powell_box_minimize(quadratic_bowl, x0=(9, 9), lower=(0, 0), upper=(1, 1))
+            powell_box_minimize(pointwise(quadratic_bowl), x0=(9, 9), lower=(0, 0), upper=(1, 1))
 
     def test_infinite_start_cost_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
@@ -140,27 +146,20 @@ class TestStencilBatch:
         # both probes of an axis step inward from a bound
         ((0.25, 3.95), [(0.5, 3.95), (0.75, 3.95), (0.25, 3.7), (0.25, 3.45)], 20),
     ], ids=["interior", "near-corner"])
-    def test_axis_probes_are_one_batch_and_a_scalar_f_sees_them_in_turn(self, x0, probes,
-                                                                         count):
-        calls, batches = [], []
+    def test_axis_probes_are_one_list_and_every_later_point_alone(self, x0, probes, count):
+        calls = []
 
-        def f(x):
-            calls.append(tuple(x))
-            return quadratic_bowl(x)
-
-        def f_many(xs):
-            batches.append([tuple(x) for x in xs])
+        def f(xs):
+            calls.append([tuple(x) for x in xs])
             return [quadratic_bowl(x) for x in xs]
 
-        alone = powell_box_minimize(f, x0, (0.2, 0.2), (4.0, 4.0), 1e-4)
+        res = powell_box_minimize(f, x0, (0.2, 0.2), (4.0, 4.0), 1e-4)
+        assert calls[1] == probes
+        assert [len(xs) for xs in calls] == [1, len(probes)] + [1] * (count - 1 - len(probes))
         # the sequence the search evaluated before its probes were batched
-        assert calls == [x for x, _ in alone.evaluations]
-        assert calls[:5] == [x0, *probes] and len(calls) == count
-        calls.clear()
-        batched = powell_box_minimize(f, x0, (0.2, 0.2), (4.0, 4.0), 1e-4, f_many=f_many)
-        assert batched.evaluations == alone.evaluations
-        assert batches == [probes]
-        assert len(calls) == count - len(probes)
+        points = [x for xs in calls for x in xs]
+        assert points == [x for x, _ in res.evaluations]
+        assert points[:5] == [x0, *probes] and len(points) == count
 
 
 @st.composite
