@@ -148,6 +148,15 @@ def _object_of(ok):
     return lambda value: isinstance(value, dict) and all(map(ok, value.values()))
 
 
+def _positional_fields(template: str):
+    """The fields of the str.format template, format specs included, named
+    as {} or {0}: empty or digits up to a first . or [. A bad brace raises."""
+    for _, name, spec, _ in string.Formatter().parse(template):
+        if name is not None and re.match(r"\d*(?:[.[]|$)", name):
+            yield name
+        yield from _positional_fields(spec or "")
+
+
 # ProcessBackend field: (what its value must be, the test), checked on construction
 _PROCESS_FIELDS = {
     "encode_template": ("a string", lambda v: isinstance(v, str)),
@@ -195,9 +204,8 @@ class ProcessBackend(EncoderBackend):
                 raise ValueError(f"backend.{name}: expected {what}, got {getattr(self, name)!r}")
         for name in ("encode_template", "metric_template"):
             template = getattr(self, name)
-            try:  # a field whose name, up to its first . or [, is empty or digits is positional
-                positional = [f for _, f, _, _ in string.Formatter().parse(template)
-                              if f is not None and re.match(r"\d*(?:[.[]|$)", f)]
+            try:
+                positional = list(_positional_fields(template))
             except ValueError as exc:  # an unbalanced brace
                 raise ValueError(f"backend.{name}: {exc} in {template!r}") from None
             if positional:

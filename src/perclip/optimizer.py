@@ -278,7 +278,8 @@ def optimize_clip(
     def costs(xs) -> list[float]:
         """The cost at each of xs, in order, each appended to evaluations.
         The encodes of several points that miss the cache go to the
-        backend first, as one batch."""
+        backend first, as one batch; a lone point's are one batch in
+        evaluate_cost anyway."""
         n = len(config.qps)
         sent = enc.fetch([r for x in xs for r in curve_requests(
             clip, _ks(x), config.qps, settings, config.metric_id)])[1] if len(xs) > 1 else []

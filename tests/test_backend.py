@@ -458,9 +458,10 @@ class TestBackendFromConfig:
         ("encode_template", "enc {input} {} {output}"),
         ("encode_template", "enc {0.real}"),
         ("metric_template", "met {[0]}"),
+        ("metric_template", "met {qp:{}}"),
         ("metric_template", "met {stats"),
         ("metric_template", "met stats}"),
-    ], ids=["index", "auto", "index-attribute", "auto-item", "open", "close"])
+    ], ids=["index", "auto", "index-attribute", "auto-item", "in-spec", "open", "close"])
     def test_positional_field_or_unbalanced_brace_rejected(self, key, template):
         fields = {"encode_template": "e {input}", "metric_template": "m {stats}", key: template}
         with pytest.raises(ValueError) as info:
@@ -469,7 +470,7 @@ class TestBackendFromConfig:
         assert repr(template) in str(info.value)
 
     def test_named_fields_and_escaped_braces_accepted(self):
-        backend = ProcessBackend(encode_template="enc {input} {qp:d} {k1!r} {{x}}",
+        backend = ProcessBackend(encode_template="enc {input} {qp:{width}d} {k1!r} {{x}}",
                                  metric_template="met {stats} {output.real}")
         assert backend.encode_template.startswith("enc")
 
