@@ -367,7 +367,7 @@ class TestOptimizeClip:
         cache = CountsGets()
         for _ in range(2):  # cold, then on the filled cache
             cache.gets.clear()
-            _, trace = optimize_clip(SyntheticBackend(), "clip", cache=cache)
+            optimize_clip(SyntheticBackend(), "clip", cache=cache)
             assert cache.gets and max(cache.gets.values()) == 1
             assert len(cache.gets) == len(cache)
 

@@ -146,7 +146,7 @@ class TestStencilBatch:
         # both probes of an axis step inward from a bound
         ((0.25, 3.95), [(0.5, 3.95), (0.75, 3.95), (0.25, 3.7), (0.25, 3.45)], 20),
     ], ids=["interior", "near-corner"])
-    def test_axis_probes_are_one_list_and_every_later_point_alone(self, x0, probes, count):
+    def test_axis_probes_are_one_list_later_points_alone(self, x0, probes, count):
         calls = []
 
         def f(xs):
