@@ -99,12 +99,13 @@ class SyntheticModel:
     w2: float = 0.6
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.k_star, (tuple, list)) and len(self.k_star) == 2
+                and all(map(_positive, self.k_star))):
+            raise ValueError(f"k_star must be two positive numbers, got {self.k_star!r}")
         object.__setattr__(self, "k_star", tuple(float(k) for k in self.k_star))
         for name in ("r0", "alpha", "qmax", "beta", "gamma", "w1", "w2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not (self.k_star[0] > 0 and self.k_star[1] > 0):
-            raise ValueError("k_star components must be positive")
 
     def bowl(self, k1: float, k2: float) -> float:
         k1s, k2s = self.k_star
@@ -185,7 +186,8 @@ class ProcessBackend(EncoderBackend):
     encode_many runs up to pool_size encodes at once on the backend's executor,
     whose idle threads exit once the backend is garbage-collected. A field of
     the wrong type, or a template with a positional field ({} or {0}) or an
-    unbalanced brace, is a ValueError naming it as backend.<field>.
+    unbalanced brace, is a ValueError naming it as backend.<field>; a named
+    field that an encode cannot fill in is a BackendFailure naming it.
     """
 
     encode_template: str
@@ -234,6 +236,19 @@ class ProcessBackend(EncoderBackend):
                 f"{argv[0]} exited {proc.returncode}: {proc.stderr.strip()[:400]}"
             )
 
+    def _command(self, name: str, fields: dict, settings: str) -> str:
+        """The template backend.<name> filled in from fields; a field it
+        cannot fill in (say {bogus}) is a BackendFailure naming the template."""
+        template = getattr(self, name)
+        try:
+            return template.format(**fields)
+        except KeyError as exc:
+            problem = f"unknown field {{{exc.args[0]}}}"
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            problem = str(exc)
+        raise BackendFailure(f"backend.{name}: {problem} in {template!r}; settings profile "
+                             f"{settings!r} gives {', '.join(fields)}")
+
     def encode(self, request: EncodeRequest) -> EncodeResult:
         try:
             profile = self.settings[request.settings]
@@ -259,10 +274,10 @@ class ProcessBackend(EncoderBackend):
             k2=request.ks.k2,
             stats=shlex.quote(str(stats)),
         )
-        self._run(self.encode_template.format(**fields))
+        self._run(self._command("encode_template", fields, request.settings))
         if not out.exists():
             raise BackendFailure(f"encoder produced no output at {out}")
-        self._run(self.metric_template.format(**fields))
+        self._run(self._command("metric_template", fields, request.settings))
         rate = 8.0 * out.stat().st_size / duration / 1000.0
         try:
             with open(stats) as fh:

@@ -20,12 +20,10 @@ DEFAULT_ANCHOR_QPS = (27, 39, 59)
 
 @dataclass(frozen=True)
 class BdResult:
-    """Delta value plus the integration interval and point counts used."""
+    """Delta value plus the integration interval used."""
 
     value: float
     overlap: tuple[float, float]
-    n_ref: int
-    n_test: int
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,7 @@ def bd_rate(ref: RdCurve, test: RdCurve, clean: bool = True) -> BdResult:
         ref = enforce_monotone(ref)
         test = enforce_monotone(test)
     d, overlap = _mean_gap(_inverse_fit(ref), _inverse_fit(test))
-    return BdResult(
-        value=(10.0 ** d - 1.0) * 100.0,
-        overlap=overlap,
-        n_ref=len(ref.points),
-        n_test=len(test.points),
-    )
+    return BdResult(value=(10.0 ** d - 1.0) * 100.0, overlap=overlap)
 
 
 def bd_quality(ref: RdCurve, test: RdCurve) -> BdResult:
@@ -81,7 +74,7 @@ def bd_quality(ref: RdCurve, test: RdCurve) -> BdResult:
         pchip_fit([math.log10(r) for r in ref.rates], ref.qualities),
         pchip_fit([math.log10(r) for r in test.rates], test.qualities),
     )
-    return BdResult(value=d, overlap=overlap, n_ref=len(ref.points), n_test=len(test.points))
+    return BdResult(value=d, overlap=overlap)
 
 
 def default_anchors(ref: RdCurve, qps=DEFAULT_ANCHOR_QPS) -> list[tuple[str, float]]:

@@ -57,7 +57,7 @@ def _write_table(path: Path, column: str, table: MosTable) -> None:
 
 
 def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
-                    exit_code: int, config: str | None = None, **extra) -> None:
+                    config: str | None = None, **extra) -> None:
     """manifest.json in the output directory; extra holds the command's
     own run facts."""
     doc = {
@@ -67,7 +67,7 @@ def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
         "outputs": [str(p) for p in outputs],
         "started": args.started,
         "finished": _now(),
-        "exit_code": exit_code,
+        "exit_code": 0,
         **extra,
     }
     with open(Path(args.out) / "manifest.json", "w") as fh:
@@ -79,8 +79,20 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _bare_name(clip: str, prefix: str = "") -> str:
+    """clip, which names output files in --out, if it is a bare file name:
+    no path separator, and not empty, . or ..; else a ValueError whose
+    message starts with prefix."""
+    if clip in ("", ".", "..") or Path(clip).name != clip:
+        raise ValueError(f"{prefix}clip {clip!r} is not a bare file name "
+                         f"(it names output files in --out)")
+    return clip
+
+
 def cmd_optimize(args) -> int:
     out = Path(args.out)
+    for clip in args.clips:
+        _bare_name(clip)
     with open(args.config) as fh:
         cfg = known_keys(json.load(fh), args.config, {"backend", "optimizer"})
     if "backend" not in cfg:
@@ -128,7 +140,7 @@ def cmd_optimize(args) -> int:
         print(f"{clip}: k1={ks.k1:.6g} k2={ks.k2:.6g} cost={trace.best[1]:.6g}%")
     if args.cache:
         cache.save(args.cache)
-    _write_manifest(args, "optimize", list(args.clips), outputs, 0, args.config, clips=sent)
+    _write_manifest(args, "optimize", list(args.clips), outputs, args.config, clips=sent)
     return 0
 
 
@@ -157,7 +169,7 @@ def cmd_bd(args) -> int:
     _write_csv(path, header, [row])
     with open(path) as fh:
         sys.stdout.write(fh.read())
-    _write_manifest(args, "bd", [args.ref, args.test], [path], 0)
+    _write_manifest(args, "bd", [args.ref, args.test], [path])
     return 0
 
 
@@ -225,7 +237,7 @@ def cmd_scores(args) -> int:
             outputs.append(path)
 
     inputs = [args.scores] + ([args.pairing] if args.pairing else [])
-    _write_manifest(args, "scores", inputs, outputs, 0)
+    _write_manifest(args, "scores", inputs, outputs)
     return 0
 
 
@@ -292,7 +304,7 @@ def cmd_correlate(args) -> int:
     _write_csv(path, ["metric", "plcc", "srocc", "krcc", "rmse", "n"], out_rows)
     with open(path) as fh:
         sys.stdout.write(fh.read())
-    _write_manifest(args, "correlate", [args.metrics, args.subjective], [path], 0)
+    _write_manifest(args, "correlate", [args.metrics, args.subjective], [path])
     return 0
 
 
@@ -303,7 +315,7 @@ def cmd_report(args) -> int:
     by_clip: dict[str, list[tuple[str, CurveSeries, str]]] = {}
     for path in args.curves:
         curve, meta = load_curve_file(path)
-        clip = meta.get("clip") or Path(path).stem.split("__")[0]
+        clip = _bare_name(meta.get("clip") or Path(path).stem.split("__")[0], f"{path}: ")
         variant = meta.get("variant") or Path(path).stem
         series = CurveSeries(
             label=variant,
@@ -337,7 +349,7 @@ def cmd_report(args) -> int:
         summary_rows,
     )
     outputs.append(summary)
-    _write_manifest(args, "report", list(args.curves), outputs, 0)
+    _write_manifest(args, "report", list(args.curves), outputs)
     return 0
 
 

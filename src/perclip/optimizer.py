@@ -67,6 +67,9 @@ class OptimizationConfig:
                 raise ValueError(f"qp {qp} outside [0, 63]")
         if not isinstance(self.metric_id, str):
             raise ValueError(f"metric_id must be a string, got {self.metric_id!r}")
+        if not (isinstance(self.bounds, (tuple, list)) and len(self.bounds) == 2
+                and all(map(_finite, self.bounds))):
+            raise ValueError(f"bounds must be a pair of finite numbers, got {self.bounds!r}")
         k_min, k_max = self.bounds
         if not 0.0 < k_min < 1.0 < k_max:
             raise ValueError(f"bounds must be positive and straddle 1.0, got {self.bounds}")

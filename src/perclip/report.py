@@ -3,6 +3,7 @@
 Hand-rolled SVG so the output is small, deterministic, and structurally
 checkable: one <polyline class="curve"> per variant and one
 <g class="errorbar"> per plotted point. The rate axis is log-scaled.
+Every element goes through _el, which XML-escapes all text and attributes.
 """
 
 from __future__ import annotations
@@ -28,18 +29,40 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
+def _el(tag: str, text: str | None = None, close: bool = True, **attrs) -> str:
+    """One SVG element: <tag k="v" .../>, <tag ...>text</tag>, or with
+    close=False the opening tag alone. An attribute name drops a trailing _
+    (class_) and writes _ as - (font_family); a None value is left out.
+    Every value and text is XML-escaped here, so a clip or label may hold
+    any character."""
+    head = tag + "".join(
+        f' {k.rstrip("_").replace("_", "-")}="{str(v).translate(_ESCAPES)}"'
+        for k, v in attrs.items() if v is not None
+    )
+    if text is not None:
+        return f"<{head}>{text.translate(_ESCAPES)}</{tag}>"
+    return f"<{head}/>" if close else f"<{head}>"
+
+
+def _line(x1, y1, x2, y2, **attrs) -> str:
+    return _el("line", x1=x1, y1=y1, x2=x2, y2=y2, **attrs)
+
+
+def _text(text: str, x, y, size: int, anchor: str | None = None, **attrs) -> str:
+    return _el("text", text, x=x, y=y, text_anchor=anchor, font_family="sans-serif",
+               font_size=size, **attrs)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
+    step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
+    ticks, t = [], math.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
         ticks.append(round(t, 10))
         t += step
@@ -62,16 +85,13 @@ def render_rq_svg(clip: str, series: list[CurveSeries], metric_id: str = "qualit
     """Render one clip's rate-quality chart to an SVG string."""
     if not series:
         raise ValueError("no series to plot")
-    rates = [p[0] for s in series for p in s.points]
-    quals = [p[1] for s in series for p in s.points]
-    cis = [p[2] for s in series for p in s.points]
-    x_lo, x_hi = min(rates), max(rates)
+    points = [p for s in series for p in s.points]
+    x_lo, x_hi = min(r for r, _, _ in points), max(r for r, _, _ in points)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo * 0.9, x_hi * 1.1
-    y_lo = min(q - c for q, c in zip(quals, cis))
-    y_hi = max(q + c for q, c in zip(quals, cis))
-    mos_like = "mos" in metric_id.lower()
-    if mos_like:
+    y_lo = min(q - c for _, q, c in points)
+    y_hi = max(q + c for _, q, c in points)
+    if "mos" in metric_id.lower():
         # opinion scores plot on the [0, 100] scale; bars clamp to it
         y_lo, y_hi = max(0.0, y_lo), min(100.0, max(y_hi, 1.0))
     if y_hi == y_lo:
@@ -91,90 +111,47 @@ def render_rq_svg(clip: str, series: list[CurveSeries], metric_id: str = "qualit
     def py(q: float) -> float:
         return MARGIN_T + (y_hi - q) / (y_hi - y_lo) * plot_h
 
-    parts: list[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
-    )
-    parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    parts.append(
-        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{clip}</text>'
-    )
     axis_y = MARGIN_T + plot_h
-    parts.append(
-        f'<line x1="{MARGIN_L}" y1="{axis_y}" x2="{MARGIN_L + plot_w}" y2="{axis_y}" '
-        f'stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" y2="{axis_y}" stroke="black"/>'
-    )
+    mid_y = f"{MARGIN_T + plot_h / 2:.0f}"
+    parts = [
+        _el("svg", close=False, xmlns="http://www.w3.org/2000/svg", width=WIDTH, height=HEIGHT,
+            viewBox=f"0 0 {WIDTH} {HEIGHT}"),
+        _el("rect", width=WIDTH, height=HEIGHT, fill="white"),
+        _text(clip, f"{WIDTH / 2:.0f}", 24, 16, "middle"),
+        _line(MARGIN_L, axis_y, MARGIN_L + plot_w, axis_y, stroke="black"),
+        _line(MARGIN_L, MARGIN_T, MARGIN_L, axis_y, stroke="black"),
+    ]
     for v in _log_ticks(x_lo, x_hi):
-        x = px(v)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{axis_y}" x2="{_fmt(x)}" y2="{axis_y + 5}" stroke="black"/>'
-        )
-        label = f"{v:g}"
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{axis_y + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        x = _fmt(px(v))
+        parts.append(_line(x, axis_y, x, axis_y + 5, stroke="black"))
+        parts.append(_text(f"{v:g}", x, axis_y + 20, 11, "middle"))
     for v in _nice_ticks(y_lo, y_hi):
         y = py(v)
-        parts.append(
-            f'<line x1="{MARGIN_L - 5}" y1="{_fmt(y)}" x2="{MARGIN_L}" y2="{_fmt(y)}" '
-            f'stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_L - 9}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{v:g}</text>'
-        )
-    parts.append(
-        f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">rate (kbps, log scale)</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{metric_id}</text>'
-    )
+        parts.append(_line(MARGIN_L - 5, _fmt(y), MARGIN_L, _fmt(y), stroke="black"))
+        parts.append(_text(f"{v:g}", MARGIN_L - 9, _fmt(y + 4), 11, "end"))
+    parts.append(_text("rate (kbps, log scale)", f"{MARGIN_L + plot_w / 2:.0f}", HEIGHT - 14,
+                       12, "middle"))
+    parts.append(_text(metric_id, 18, mid_y, 12, "middle", transform=f"rotate(-90 18 {mid_y})"))
 
     for idx, s in enumerate(series):
         color = COLORS[idx % len(COLORS)]
         pts = sorted(s.points)
-        coords = " ".join(f"{_fmt(px(r))},{_fmt(py(q))}" for r, q, _ in pts)
         for r, q, ci in pts:
-            x = px(r)
-            top = py(min(q + ci, y_hi))
-            bot = py(max(q - ci, y_lo))
-            parts.append(f'<g class="errorbar" stroke="{color}">')
-            parts.append(
-                f'<line x1="{_fmt(x)}" y1="{_fmt(top)}" x2="{_fmt(x)}" y2="{_fmt(bot)}"/>'
-            )
-            parts.append(
-                f'<line x1="{_fmt(x - CAP)}" y1="{_fmt(top)}" x2="{_fmt(x + CAP)}" y2="{_fmt(top)}"/>'
-            )
-            parts.append(
-                f'<line x1="{_fmt(x - CAP)}" y1="{_fmt(bot)}" x2="{_fmt(x + CAP)}" y2="{_fmt(bot)}"/>'
-            )
-            parts.append("</g>")
-        parts.append(
-            f'<polyline class="curve" fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"/>'
-        )
-        for r, q, _ in pts:
-            parts.append(
-                f'<circle class="marker" cx="{_fmt(px(r))}" cy="{_fmt(py(q))}" r="2.5" '
-                f'fill="{color}"/>'
-            )
-        ly = MARGIN_T + 14 + 16 * idx
-        lx = MARGIN_L + plot_w - 150
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="12">{s.label}</text>'
-        )
+            x, top, bot = px(r), _fmt(py(min(q + ci, y_hi))), _fmt(py(max(q - ci, y_lo)))
+            parts += [
+                _el("g", close=False, class_="errorbar", stroke=color),
+                _line(_fmt(x), top, _fmt(x), bot),
+                _line(_fmt(x - CAP), top, _fmt(x + CAP), top),
+                _line(_fmt(x - CAP), bot, _fmt(x + CAP), bot),
+                "</g>",
+            ]
+        coords = " ".join(f"{_fmt(px(r))},{_fmt(py(q))}" for r, q, _ in pts)
+        parts.append(_el("polyline", class_="curve", fill="none", stroke=color,
+                         stroke_width=1.5, points=coords))
+        parts += [_el("circle", class_="marker", cx=_fmt(px(r)), cy=_fmt(py(q)), r=2.5,
+                      fill=color) for r, q, _ in pts]
+        lx, ly = MARGIN_L + plot_w - 150, MARGIN_T + 14 + 16 * idx
+        parts.append(_line(lx, ly - 4, lx + 22, ly - 4, stroke=color, stroke_width=1.5))
+        parts.append(_text(s.label, lx + 28, ly, 12))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -125,6 +125,12 @@ class TestSyntheticModel:
         with pytest.raises(ValueError):
             SyntheticModel(alpha=-1)
 
+    @pytest.mark.parametrize("k_star", [(1.2,), (1.2, 0.9, 3.0), (1.2, -0.9), (True, 1.0),
+                                        (1.2, float("nan")), "ab", 1.2])
+    def test_k_star_must_be_two_positive_numbers(self, k_star):
+        with pytest.raises(ValueError, match="^k_star must be two positive numbers"):
+            SyntheticModel(k_star=k_star)
+
     def test_qp_range_validated(self):
         with pytest.raises(ValueError):
             EncodeRequest(clip="c", qp=64, ks=KS_DEFAULT)
@@ -240,6 +246,27 @@ class TestProcessBackend:
         )
         with pytest.raises(BackendFailure, match="/nonexistent/encoder"):
             backend.encode(req(27, clip="c"))
+
+    @pytest.mark.parametrize("key, template, problem", [
+        ("encode_template", "true {bogus}", "unknown field {bogus}"),
+        ("encode_template", "true {input.x}", "no attribute 'x'"),
+        ("metric_template", "true {qp[0]}", "not subscriptable"),
+        ("metric_template", "true {k1:d}", "Unknown format code 'd'"),
+    ], ids=["unknown", "attribute", "item", "spec"])
+    def test_field_a_template_cannot_fill_is_a_backend_failure(self, tmp_path, key, template,
+                                                               problem):
+        enc = tmp_path / "enc.sh"
+        write_script(enc, FAKE_ENCODER.format(size=1000))
+        fields = {"encode_template": f"{enc} {{input}} {{output}}", "metric_template": "true",
+                  key: template}
+        backend = ProcessBackend(**fields, settings={"proxy": {"preset": "6"}},
+                                 clip_durations={"c": 5.0}, workdir=str(tmp_path))
+        with pytest.raises(BackendFailure) as info:
+            backend.encode(EncodeRequest(clip="c", qp=27, ks=KS_DEFAULT, settings="proxy"))
+        message = str(info.value)
+        assert message.startswith(f"backend.{key}: ")
+        assert problem in message and repr(template) in message
+        assert "settings profile 'proxy' gives preset, input, output" in message
 
     def test_stats_missing_metric_key(self, tmp_path):
         enc = tmp_path / "enc.sh"

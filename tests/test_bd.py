@@ -12,6 +12,7 @@ from perclip import (
     bitrate_savings,
     build_curve,
     default_anchors,
+    enforce_monotone,
     pchip_fit,
 )
 from perclip.errors import AnchorOutOfRange, NoOverlap
@@ -105,8 +106,9 @@ class TestBdRate:
             [RdPoint(100, 10), RdPoint(150, 25), RdPoint(200, 20), RdPoint(400, 30)],
             "mos",
         )
-        res = bd_rate(ref, dipped, clean=True)
-        assert res.n_test == 3
+        cleaned = enforce_monotone(dipped)
+        assert len(cleaned.points) == 3
+        assert bd_rate(ref, dipped, clean=True) == bd_rate(ref, cleaned, clean=False)
 
     def test_overlap_interval_reported(self, rng):
         ref, test = random_overlapping_pair(rng)
@@ -147,7 +149,6 @@ class TestBdQuality:
             [RdPoint(100, 12), RdPoint(200, 11), RdPoint(400, 31)], "mos"
         )
         res = bd_quality(ref, bumpy)
-        assert res.n_test == 3
         assert res.value == pytest.approx(oracle_bd_quality(ref, bumpy), abs=1e-6)
 
     def test_disjoint_rates(self):

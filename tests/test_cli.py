@@ -329,6 +329,52 @@ class TestOptimizeCommand:
         assert [line.split(":")[0] for line in err.splitlines()] == ["error"]
         assert err.startswith("error: backend.encode_template: ")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["backend"]["clips"]["meadow"].update(k_star=[1.2]),
+         "k_star must be two positive numbers, got (1.2,)"),
+        (lambda cfg: cfg["backend"]["clips"]["meadow"].update(k_star=[1.2, 0.9, 3]),
+         "k_star must be two positive numbers, got (1.2, 0.9, 3)"),
+        (lambda cfg: cfg["optimizer"].update(bounds=[0.5]),
+         "bounds must be a pair of finite numbers, got (0.5,)"),
+    ], ids=["k_star-one", "k_star-three", "bounds-one"])
+    def test_config_value_of_wrong_shape_exits_1(self, tmp_path, capsys, edit, message):
+        # k_star [1.2] used to escape main as an IndexError, [1.2, 0.9, 3]
+        # to fail at the first encode with an unpacking error
+        cfg = json.loads((DATA / "backend_synthetic.json").read_text())
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run("--out", tmp_path, "optimize", "meadow", "--config", cfg_path)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unknown_template_field_exits_1_naming_the_template(self, tmp_path, capsys):
+        cfg = {"backend": {"kind": "process", "encode_template": "true {bogus}",
+                           "metric_template": "true", "default_duration_s": 5.0,
+                           "workdir": str(tmp_path)}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run("--out", tmp_path, "optimize", "clip", "--config", cfg_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line.split(":")[0] for line in err.splitlines()] == ["error"]
+        assert "backend.encode_template: unknown field {bogus}" in err
+        assert "settings profile 'native'" in err
+
+    @pytest.mark.parametrize("clip", ["sub/clip", "..", ".", ""])
+    def test_clip_that_is_not_a_bare_file_name_exits_1_before_any_encode(self, tmp_path,
+                                                                        capsys, clip):
+        # sub/clip used to be searched, then fail writing its result file,
+        # after meadow's result and before the cache was saved
+        cache = tmp_path / "cache.json"
+        code = run("--out", tmp_path / "out", "optimize", "meadow", clip,
+                   "--config", DATA / "backend_synthetic.json", "--cache", cache)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: clip {clip!r} is not a bare file name (it names output files in --out)"]
+        assert not (tmp_path / "out" / "meadow.result.json").exists()
+        assert not cache.exists()
+
     def test_rerun_with_the_cache_sends_no_batch(self, tmp_path):
         config, cache = DATA / "backend_synthetic.json", tmp_path / "cache.json"
         clips = ("meadow", "harbor", "lanterns")
@@ -718,6 +764,28 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {bad}: {message}")
+
+    def test_markup_characters_in_names_are_escaped(self, tmp_path):
+        names = {"clip": 'a&b<c>"d', "variant": 'v<1> & "2"', "metric": 'mos<&>"x'}
+        curve = write_curve_variant(tmp_path / "odd.json", lambda doc: doc.update(names))
+        code = run("--out", tmp_path / "out", "report", curve)
+        assert code == 0
+        root = ET.parse(tmp_path / "out" / f"{names['clip']}.svg").getroot()
+        texts = [t.text for t in root.iter(f"{SVG_NS}text")]
+        # title first, then the tick labels, the two axis labels, the legend
+        assert texts[0] == names["clip"]
+        assert texts[-3:] == ["rate (kbps, log scale)", names["metric"], names["variant"]]
+
+    @pytest.mark.parametrize("clip", ["../escaped", "sub/clip", ".", ".."])
+    def test_clip_that_is_not_a_bare_file_name_exits_1(self, tmp_path, capsys, clip):
+        bad = write_curve_variant(tmp_path / "bad.json", lambda doc: doc.update(clip=clip))
+        out = tmp_path / "out"
+        code = run("--out", out, "report", DATA / "curves" / "meadow__tuned.curve.json", bad)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: clip {clip!r} is not a bare file name "
+            "(it names output files in --out)"]
+        assert not list(tmp_path.rglob("*.svg"))
 
     def test_empty_input_exits_1(self, tmp_path, capsys):
         code = run("--out", tmp_path, "report")
