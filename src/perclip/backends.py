@@ -100,7 +100,7 @@ class SyntheticModel:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.k_star, (tuple, list)) and len(self.k_star) == 2
-                and all(map(_positive, self.k_star))):
+                and all(finite(k, above=0) for k in self.k_star)):
             raise ValueError(f"k_star must be two positive numbers, got {self.k_star!r}")
         object.__setattr__(self, "k_star", tuple(float(k) for k in self.k_star))
         for name in ("r0", "alpha", "qmax", "beta", "gamma", "w1", "w2"):
@@ -141,8 +141,9 @@ class SyntheticBackend(EncoderBackend):
         return synthetic_encode(model, request)
 
 
-def _positive(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value) and value > 0
+def finite(value, above: float = -math.inf) -> bool:
+    """Whether value is an int or a float, not a bool, finite and > above."""
+    return type(value) in (int, float) and math.isfinite(value) and value > above
 
 
 def _object_of(ok):
@@ -164,11 +165,11 @@ _PROCESS_FIELDS = {
     "metric_template": ("a string", lambda v: isinstance(v, str)),
     "settings": ("an object of settings profiles, each an object",
                  _object_of(lambda v: isinstance(v, dict))),
-    "timeout_s": ("a positive number", _positive),
+    "timeout_s": ("a positive number", lambda v: finite(v, above=0)),
     "pool_size": ("a positive integer", lambda v: type(v) is int and v > 0),
     "stats_keys": ("an object of strings", _object_of(lambda v: isinstance(v, str))),
-    "clip_durations": ("an object of positive numbers", _object_of(_positive)),
-    "default_duration_s": ("a positive number or null", lambda v: v is None or _positive(v)),
+    "clip_durations": ("an object of positive numbers", _object_of(lambda v: finite(v, above=0))),
+    "default_duration_s": ("a positive number or null", lambda v: v is None or finite(v, above=0)),
     "workdir": ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -186,8 +187,8 @@ class ProcessBackend(EncoderBackend):
     encode_many runs up to pool_size encodes at once on the backend's executor,
     whose idle threads exit once the backend is garbage-collected. A field of
     the wrong type, or a template with a positional field ({} or {0}) or an
-    unbalanced brace, is a ValueError naming it as backend.<field>; a named
-    field that an encode cannot fill in is a BackendFailure naming it.
+    unbalanced brace, is a ValueError that starts with the field's name; a
+    named field that an encode cannot fill in is a BackendFailure naming it.
     """
 
     encode_template: str
@@ -203,15 +204,15 @@ class ProcessBackend(EncoderBackend):
     def __post_init__(self) -> None:
         for name, (what, ok) in _PROCESS_FIELDS.items():
             if not ok(getattr(self, name)):
-                raise ValueError(f"backend.{name}: expected {what}, got {getattr(self, name)!r}")
+                raise ValueError(f"{name}: expected {what}, got {getattr(self, name)!r}")
         for name in ("encode_template", "metric_template"):
             template = getattr(self, name)
             try:
                 positional = list(_positional_fields(template))
             except ValueError as exc:  # an unbalanced brace
-                raise ValueError(f"backend.{name}: {exc} in {template!r}") from None
+                raise ValueError(f"{name}: {exc} in {template!r}") from None
             if positional:
-                raise ValueError(f"backend.{name}: positional field {{{positional[0]}}} in "
+                raise ValueError(f"{name}: positional field {{{positional[0]}}} in "
                                  f"{template!r}; placeholders are named, as {{input}}")
         self._pool = ThreadPoolExecutor(max_workers=self.pool_size)
 
@@ -349,12 +350,15 @@ def known_keys(section, name: str, known) -> dict:
 def from_section(cls, section: dict, name: str):
     """Build dataclass cls from the config-file section called name: lists
     become tuples, and a key that is not a field of cls is a ValueError, as
-    is a section that is not a JSON object."""
+    is a section that is not a JSON object. cls's own ValueErrors start with
+    the field at fault, so with name. in front they read name.field."""
     known_keys(section, name, {f.name for f in dataclasses.fields(cls)})
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in section.items()})
     except TypeError as exc:  # a required key is missing or a value has the wrong type
         raise ValueError(f"{name}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{name}.{exc}") from exc
 
 
 def backend_from_config(cfg: dict) -> EncoderBackend:

@@ -8,10 +8,9 @@ points. The search is perclip.powell's quadratic-model trust region from
 (1, 1); it stops once its model predicts the cost to COST_RESOLUTION, or
 else once it resolves the ks to K_RESOLUTION. Each evaluation goes through
 one cost closure, which takes a list of points: a stencil's axis probes
-together, every other point alone. Encodes that miss the cache go to the
-backend in batches: the baseline's, those of the probes together, and
-those of every other point on its own. A clip's search asks the cache for
-each request once and sends no request to the backend twice.
+together, every other point alone. Each call's encodes that miss the cache
+go to the backend as one batch, as do the baseline's. A clip's search asks
+the cache for each request once and sends no request to the backend twice.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import (EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers,
-                       build_rd_curve, curve_requests)
+                       build_rd_curve, curve_requests, finite)
 from .bd import bd_rate
 from .curves import RdCurve
 from .errors import BackendFailure, NoOverlap, NonAscendingAbscissae, TooFewPoints
@@ -59,16 +58,16 @@ class OptimizationConfig:
 
     def __post_init__(self) -> None:
         if len(set(self.qps)) != len(self.qps):
-            raise ValueError(f"duplicate qp in {self.qps}")
+            raise ValueError(f"qps: duplicate qp in {self.qps}")
         for qp in self.qps:  # an encode cache row holds an integer qp
             if type(qp) is not int:
-                raise ValueError(f"qp {qp!r} is not an integer")
+                raise ValueError(f"qps: qp {qp!r} is not an integer")
             if not 0 <= qp <= 63:
-                raise ValueError(f"qp {qp} outside [0, 63]")
+                raise ValueError(f"qps: qp {qp} outside [0, 63]")
         if not isinstance(self.metric_id, str):
             raise ValueError(f"metric_id must be a string, got {self.metric_id!r}")
         if not (isinstance(self.bounds, (tuple, list)) and len(self.bounds) == 2
-                and all(map(_finite, self.bounds))):
+                and all(map(finite, self.bounds))):
             raise ValueError(f"bounds must be a pair of finite numbers, got {self.bounds!r}")
         k_min, k_max = self.bounds
         if not 0.0 < k_min < 1.0 < k_max:
@@ -92,16 +91,8 @@ class OptimizationTrace:
     stop: str  # why the search ended: "model", "ftol" or "resolution"
 
 
-def _finite(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _cache_key(clip, settings, metric_id, qp, k1, k2) -> tuple:
-    return clip, settings, metric_id, qp, round(k1, 6), round(k2, 6)
-
-
 class EncodeCache:
-    """Thread-safe (rate, quality) store keyed by the encode request.
+    """Thread-safe store of encode rate and quality keyed by the encode request.
 
     k values are rounded to 1e-6 for the key, also in rows loaded from a
     file. Persistable to JSON so a repeated run issues zero encodes; a file
@@ -109,24 +100,21 @@ class EncodeCache:
     """
 
     def __init__(self) -> None:
-        self._data: dict[tuple, tuple[float, float]] = {}
+        self._data: dict[tuple, EncodeResult] = {}
         self._lock = threading.Lock()
 
     @staticmethod
     def key(request: EncodeRequest) -> tuple:
-        return _cache_key(request.clip, request.settings, request.metric_id, request.qp,
-                          request.ks.k1, request.ks.k2)
+        return (request.clip, request.settings, request.metric_id, request.qp,
+                round(request.ks.k1, 6), round(request.ks.k2, 6))
 
     def get(self, request: EncodeRequest) -> EncodeResult | None:
         with self._lock:
-            hit = self._data.get(self.key(request))
-        if hit is None:
-            return None
-        return EncodeResult(rate=hit[0], quality=hit[1])
+            return self._data.get(self.key(request))
 
     def put(self, request: EncodeRequest, result: EncodeResult) -> None:
         with self._lock:
-            self._data[self.key(request)] = (result.rate, result.quality)
+            self._data[self.key(request)] = EncodeResult(result.rate, result.quality)
 
     def __len__(self) -> int:
         with self._lock:
@@ -139,7 +127,7 @@ class EncodeCache:
         mid-save leaves the previous file intact.
         """
         with self._lock:
-            rows = [list(k) + list(v) for k, v in sorted(self._data.items())]
+            rows = [[*k, v.rate, v.quality] for k, v in sorted(self._data.items())]
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         try:
@@ -168,14 +156,14 @@ class EncodeCache:
             clip, settings, metric_id, qp, k1, k2, rate, quality = row
             if not (all(isinstance(v, str) for v in (clip, settings, metric_id))
                     and type(qp) is int and 0 <= qp <= 63
-                    and all(_finite(v) and v > 0 for v in (k1, k2, rate))
-                    and _finite(quality)):
+                    and all(finite(v, above=0) for v in (k1, k2, rate)) and finite(quality)):
                 raise ValueError(
                     f"{path}: cache row {row!r} is not valid: clip, settings and metric "
                     "must be strings, qp an integer in [0, 63], k1, k2 and rate finite "
                     "and > 0, quality finite"
                 )
-            entries[_cache_key(clip, settings, metric_id, qp, k1, k2)] = (rate, quality)
+            request = EncodeRequest(clip, qp, LambdaMultipliers(k1, k2), settings, metric_id)
+            entries[self.key(request)] = EncodeResult(rate, quality)
         with self._lock:
             self._data.update(entries)
 
@@ -184,7 +172,9 @@ class CachingEncoder:
     """Backend wrapper that memoizes encodes and counts the real ones and
     the batches they went out in. It remembers every answer it gave,
     result or failure, so in the wrapper's life the shared cache is asked
-    for each request once and no request goes to the backend twice."""
+    for each request once and no request goes to the backend twice, also
+    when evaluate_cost builds a curve through it whose requests optimize_clip
+    has fetched already; evaluate_cost takes a backend, not a built curve."""
 
     def __init__(self, backend: EncoderBackend, cache: EncodeCache | None = None):
         self.backend = backend
@@ -280,17 +270,17 @@ def optimize_clip(
 
     def costs(xs) -> list[float]:
         """The cost at each of xs, in order, each appended to evaluations.
-        The encodes of several points that miss the cache go to the
-        backend first, as one batch; a lone point's are one batch in
-        evaluate_cost anyway."""
+        The encodes of all of xs that miss the cache go to the backend
+        first, as one batch; a point is a cache hit when none of its
+        requests was sent, and a failed point is never one."""
         n = len(config.qps)
         sent = enc.fetch([r for x in xs for r in curve_requests(
-            clip, _ks(x), config.qps, settings, config.metric_id)])[1] if len(xs) > 1 else []
+            clip, _ks(x), config.qps, settings, config.metric_id)])[1]
         for i, x in enumerate(xs):
-            ks, issued = _ks(x), enc.encodes_issued
+            ks = _ks(x)
             try:
                 cost = float(evaluate_cost(enc, clip, ks, baseline, config, settings=settings))
-                hit = enc.encodes_issued == issued and not any(sent[i * n:(i + 1) * n])
+                hit = not any(sent[i * n:(i + 1) * n])
             except BackendFailure as exc:  # also when the failure was remembered, not re-sent
                 log.warning("encode failed at (%.4f, %.4f): %s; using +inf", ks.k1, ks.k2, exc)
                 cost, hit = math.inf, False

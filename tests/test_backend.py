@@ -493,7 +493,7 @@ class TestBackendFromConfig:
         fields = {"encode_template": "e {input}", "metric_template": "m {stats}", key: template}
         with pytest.raises(ValueError) as info:
             ProcessBackend(**fields)
-        assert str(info.value).startswith(f"backend.{key}: ")
+        assert str(info.value).startswith(f"{key}: ")
         assert repr(template) in str(info.value)
 
     def test_named_fields_and_escaped_braces_accepted(self):

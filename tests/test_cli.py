@@ -277,11 +277,11 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda cfg: cfg["optimizer"].update(qps=[27.5, 39, 49, 59, 63]),
-         "qp 27.5 is not an integer"),
+         "optimizer.qps: qp 27.5 is not an integer"),
         (lambda cfg: cfg["optimizer"].update(qps=[True, 39, 49, 59, 63]),
-         "qp True is not an integer"),
+         "optimizer.qps: qp True is not an integer"),
         (lambda cfg: cfg["optimizer"].update(metric_id=5),
-         "metric_id must be a string, got 5"),
+         "optimizer.metric_id must be a string, got 5"),
     ], ids=["qp-float", "qp-bool", "metric-int"])
     def test_optimizer_value_the_cache_cannot_hold_exits_1(self, tmp_path, capsys, edit,
                                                           message):
@@ -331,12 +331,14 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda cfg: cfg["backend"]["clips"]["meadow"].update(k_star=[1.2]),
-         "k_star must be two positive numbers, got (1.2,)"),
+         "backend.clips.meadow.k_star must be two positive numbers, got (1.2,)"),
         (lambda cfg: cfg["backend"]["clips"]["meadow"].update(k_star=[1.2, 0.9, 3]),
-         "k_star must be two positive numbers, got (1.2, 0.9, 3)"),
+         "backend.clips.meadow.k_star must be two positive numbers, got (1.2, 0.9, 3)"),
+        (lambda cfg: cfg["backend"].update(model={"k_star": [1.2]}),
+         "backend.model.k_star must be two positive numbers, got (1.2,)"),
         (lambda cfg: cfg["optimizer"].update(bounds=[0.5]),
-         "bounds must be a pair of finite numbers, got (0.5,)"),
-    ], ids=["k_star-one", "k_star-three", "bounds-one"])
+         "optimizer.bounds must be a pair of finite numbers, got (0.5,)"),
+    ], ids=["k_star-one", "k_star-three", "model-k_star-one", "bounds-one"])
     def test_config_value_of_wrong_shape_exits_1(self, tmp_path, capsys, edit, message):
         # k_star [1.2] used to escape main as an IndexError, [1.2, 0.9, 3]
         # to fail at the first encode with an unpacking error

@@ -131,6 +131,10 @@ class TestEncodeCache:
         hit = fresh.get(request)
         assert hit is not None
         assert hit.rate == first.rate and hit.quality == first.quality
+        # the store keeps rate and quality only, whatever else a result carries
+        other = EncodeRequest(clip="c", qp=39, ks=LambdaMultipliers(1.0, 1.0))
+        cache.put(other, EncodeResult(5.0, 0.9, artifacts={"bitstream": "c.bin"}))
+        assert cache.get(other) == EncodeResult(5.0, 0.9)
 
     def test_key_rounds_multipliers(self):
         a = EncodeRequest(clip="c", qp=27, ks=LambdaMultipliers(1.0000000001, 1.0))
@@ -354,7 +358,8 @@ class TestOptimizeClip:
         assert all(e.cache_hit for e in again.evaluations)
         assert (again.encode_count, again.batch_count) == (0, 0)
 
-    def test_search_asks_the_shared_cache_for_each_request_once(self):
+    @pytest.mark.parametrize("bad_qp", [None, 63], ids=["ok", "fail"])
+    def test_search_asks_the_shared_cache_for_each_request_once(self, bad_qp):
         class CountsGets(EncodeCache):
             def __init__(self):
                 super().__init__()
@@ -365,11 +370,16 @@ class TestOptimizeClip:
                 return super().get(request)
 
         cache = CountsGets()
+        backend = SyntheticBackend() if bad_qp is None else self.FailsOneQp(bad_qp)
         for _ in range(2):  # cold, then on the filled cache
             cache.gets.clear()
-            optimize_clip(SyntheticBackend(), "clip", cache=cache)
+            optimize_clip(backend, "clip", cache=cache)
             assert cache.gets and max(cache.gets.values()) == 1
-            assert len(cache.gets) == len(cache)
+            # a failed request is asked for once in each run and never cached
+            # (the cache key is clip, settings, metric, qp, k1, k2)
+            failed = [key for key in cache.gets if key[3] == bad_qp and key[4] > 1.2]
+            assert len(cache.gets) == len(cache) + len(failed)
+            assert bool(failed) == (bad_qp is not None)
 
     def test_synthetic_encodes_run_on_the_calling_thread(self):
         threads = set()
