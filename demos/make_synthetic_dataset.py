@@ -65,33 +65,21 @@ def mos_curves(rng):
         }
         for variant in VARIANTS:
             points = []
-            cis = []
             for qp in QPS:
                 rate = rate0 * 2.0 ** (-(qp - 27) / 10.0)
                 if variant == "tuned":
                     rate *= 0.92 * float(rng.uniform(0.99, 1.01))
-                points.append(
-                    RdPoint(rate=round(rate, 3), quality=round(qualities[qp], 3), qp=qp)
-                )
-                cis.append(round(float(rng.uniform(2.0, 5.5)), 3))
-            curve = build_curve(points, "mos")
-            # keep ci95 aligned with the curve's rate-sorted points
-            order = np.argsort([p.rate for p in points])
-            curves[(clip, variant)] = (curve, [cis[i] for i in order])
+                points.append(RdPoint(rate=round(rate, 3), quality=round(qualities[qp], 3),
+                                      qp=qp, ci95=round(float(rng.uniform(2.0, 5.5)), 3)))
+            curves[(clip, variant)] = build_curve(points, "mos")
     return curves
 
 
 def write_curves(curves) -> None:
     out = DATA / "curves"
     out.mkdir(parents=True, exist_ok=True)
-    for (clip, variant), (curve, cis) in curves.items():
-        write_curve_json(
-            curve,
-            out / f"{clip}__{variant}.curve.json",
-            clip=clip,
-            variant=variant,
-            ci95=cis,
-        )
+    for (clip, variant), curve in curves.items():
+        write_curve_json(curve, out / f"{clip}__{variant}.curve.json", clip=clip, variant=variant)
 
 
 def stimuli_and_truth(rng, curves):
@@ -102,8 +90,7 @@ def stimuli_and_truth(rng, curves):
     for clip in CLIPS:
         psi[f"{clip}_src"] = round(float(rng.uniform(88.0, 93.0)), 3)
         for variant in VARIANTS:
-            curve, _ = curves[(clip, variant)]
-            for p in curve.points:
+            for p in curves[(clip, variant)].points:
                 pvs = f"{clip}_{variant}_qp{p.qp}"
                 psi[pvs] = p.quality
                 pairing[pvs] = f"{clip}_src"

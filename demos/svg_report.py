@@ -8,22 +8,15 @@ log scale.
 from pathlib import Path
 
 from perclip.curves import load_curve_file
-from perclip.report import CurveSeries, render_rq_svg
+from perclip.report import render_rq_svg
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 OUT = Path(__file__).resolve().parent / "out"
 
 series = []
 for variant in ("default", "tuned"):
-    curve, meta = load_curve_file(DATA / "curves" / f"meadow__{variant}.curve.json")
-    series.append(
-        CurveSeries(
-            label=variant,
-            points=tuple(
-                (p.rate, p.quality, ci) for p, ci in zip(curve.points, meta["ci95"])
-            ),
-        )
-    )
+    curve, _ = load_curve_file(DATA / "curves" / f"meadow__{variant}.curve.json")
+    series.append((variant, curve))
 
 svg = render_rq_svg("meadow", series, metric_id=curve.metric_id)
 OUT.mkdir(exist_ok=True)

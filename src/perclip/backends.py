@@ -104,8 +104,9 @@ class SyntheticModel:
             raise ValueError(f"k_star must be two positive numbers, got {self.k_star!r}")
         object.__setattr__(self, "k_star", tuple(float(k) for k in self.k_star))
         for name in ("r0", "alpha", "qmax", "beta", "gamma", "w1", "w2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not finite(value, above=0):
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
 
     def bowl(self, k1: float, k2: float) -> float:
         k1s, k2s = self.k_star
@@ -291,7 +292,7 @@ class ProcessBackend(EncoderBackend):
         if key not in doc:
             raise BackendFailure(f"stats file {stats} has no key {key!r}")
         quality = doc[key]
-        if type(quality) not in (int, float) or not math.isfinite(quality):
+        if not finite(quality):
             raise BackendFailure(f"stats file {stats}: {key!r} is {quality!r}, not a finite number")
         if not rate > 0:
             raise BackendFailure(f"invalid encode result rate={rate}")

@@ -18,10 +18,10 @@ from pathlib import Path
 from .backends import backend_from_config, from_section, known_keys
 from .bd import bd_quality, bd_rate, bitrate_savings, default_anchors
 from .correlation import fit_logistic5, correlate
-from .curves import load_curve_file
+from .curves import RdCurve, load_curve_file
 from .errors import PerclipError
 from .optimizer import OptimizationConfig, optimize_clip, EncodeCache
-from .report import CurveSeries, render_rq_svg
+from .report import render_rq_svg
 from .subjective import (
     MosTable,
     bt500_screen,
@@ -152,9 +152,11 @@ def cmd_bd(args) -> int:
     rate_res = bd_rate(ref, test, clean=args.clean)
     qual_res = bd_quality(ref, test)
     if args.anchors:
-        anchors = [
-            (f"q{v}", float(v)) for v in args.anchors.split(",")
-        ]
+        texts = args.anchors.split(",")
+        for text in texts:
+            if not math.isfinite(_number(text)):
+                raise ValueError(f"--anchors: {text!r} is not a finite number")
+        anchors = [(f"q{text}", float(text)) for text in texts]
     else:
         anchors = default_anchors(ref) or None
     savings = bitrate_savings(ref, test, anchors=anchors)
@@ -259,16 +261,20 @@ def _read_table(path) -> tuple[list[str], list[dict]]:
     return columns, rows
 
 
+def _number(text) -> float:
+    """float(text), or NaN when text is missing or not a number."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _floats(path, rows: list[dict], column: str) -> list[float]:
     """One column as finite floats; a missing, non-numeric or non-finite cell
     names the file, the column and the row's pvs_id."""
-    values = []
-    for r in rows:
-        try:
-            values.append(float(r[column]))
-        except (TypeError, ValueError):
-            values.append(math.nan)
-        if not math.isfinite(values[-1]):
+    values = [_number(r[column]) for r in rows]
+    for r, value in zip(rows, values):
+        if not math.isfinite(value):
             raise ValueError(
                 f"{path}: column {column}: bad value {r[column]!r} for {r['pvs_id']!r}"
             )
@@ -312,34 +318,25 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     if not args.curves:
         raise ValueError("no curve files given")
-    by_clip: dict[str, list[tuple[str, CurveSeries, str]]] = {}
+    by_clip: dict[str, list[tuple[str, RdCurve]]] = {}
     for path in args.curves:
         curve, meta = load_curve_file(path)
         clip = _bare_name(meta.get("clip") or Path(path).stem.split("__")[0], f"{path}: ")
         variant = meta.get("variant") or Path(path).stem
-        series = CurveSeries(
-            label=variant,
-            points=tuple(
-                (p.rate, p.quality, ci)
-                for p, ci in zip(curve.points, meta["ci95"])
-            ),
-        )
-        by_clip.setdefault(clip, []).append((variant, series, curve.metric_id))
+        by_clip.setdefault(clip, []).append((variant, curve))
 
     outputs: list[Path] = []
     summary_rows = []
     for clip in sorted(by_clip):
         entries = sorted(by_clip[clip], key=lambda e: e[0])
-        svg = render_rq_svg(clip, [s for _, s, _ in entries], metric_id=entries[0][2])
+        svg = render_rq_svg(clip, entries, metric_id=entries[0][1].metric_id)
         path = out / f"{clip}.svg"
         path.write_text(svg)
         outputs.append(path)
-        for variant, series, metric in entries:
-            rates = [p[0] for p in series.points]
-            quals = [p[1] for p in series.points]
+        for variant, curve in entries:
             summary_rows.append(
-                [clip, variant, metric, len(series.points),
-                 min(rates), max(rates), min(quals), max(quals)]
+                [clip, variant, curve.metric_id, len(curve.points), min(curve.rates),
+                 max(curve.rates), min(curve.qualities), max(curve.qualities)]
             )
     summary = out / "report_summary.csv"
     _write_csv(

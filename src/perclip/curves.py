@@ -27,12 +27,14 @@ from .errors import (
 
 @dataclass(frozen=True)
 class RdPoint:
-    """One operating point: rate in kilobits per second, quality in metric units."""
+    """One operating point: rate in kilobits per second, quality in metric
+    units, the integer qp that produced it if known, and the half-width of
+    the quality's 95 % confidence interval (0 when unknown)."""
 
     rate: float
     quality: float
     qp: int | None = None
-    tag: str | None = None
+    ci95: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,8 @@ class RdCurve:
                 raise NonFiniteValue(f"rate must be positive and finite, got {p.rate!r}")
             if not math.isfinite(p.quality):
                 raise NonFiniteValue(f"quality must be finite, got {p.quality!r}")
+            if not 0.0 <= p.ci95 < math.inf:
+                raise NonFiniteValue(f"ci95 must be finite and >= 0, got {p.ci95!r}")
         for a, b in zip(pts, pts[1:]):
             if a.rate == b.rate:
                 raise DuplicateRate(f"duplicate rate {a.rate} kbps")
@@ -245,13 +249,14 @@ def enforce_monotone(curve: RdCurve) -> RdCurve:
 
 def load_curve_file(path) -> tuple[RdCurve, dict]:
     """Read a curve file, {"metric": id, "points": [{"rate_kbps", "quality",
-    "qp"?}]}, plus its optional annotations.
+    "qp"?, "ci95"?}]}, plus its optional annotations.
 
-    Returns (curve, meta) where meta may carry "clip", "variant", and a
-    "ci95" list aligned with the curve's (rate-sorted) points. "metric" and,
-    when given, "clip" and "variant" must be strings, and each ci95 finite
-    and >= 0; a violation is a ValueError naming the file, as is an invalid
-    curve (of build_curve's error class).
+    Each point's qp, when given, must be an integer, and its ci95 (0 when
+    missing) belongs to that point. Returns (curve, meta) where meta holds
+    "clip" and "variant", None when absent. "metric" and, when given,
+    "clip" and "variant" must be strings; a violation is a ValueError
+    naming the file, as is a malformed point or an invalid curve (of
+    build_curve's error class).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -265,45 +270,43 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
         if not isinstance(value, str) and (key == "metric" or value is not None):
             raise ValueError(f"{path}: {key} must be a string, got {value!r}")
     try:
-        raw = sorted(raw, key=lambda p: float(p["rate_kbps"]))
         points = [
             RdPoint(
                 rate=float(p["rate_kbps"]),
                 quality=float(p["quality"]),
-                qp=int(p["qp"]) if p.get("qp") is not None else None,
-                tag=p.get("tag"),
+                qp=p.get("qp"),
+                ci95=float(p["ci95"]) if p.get("ci95") is not None else 0.0,
             )
             for p in raw
         ]
-        ci95 = [float(p["ci95"]) if p.get("ci95") is not None else 0.0 for p in raw]
+        for p in points:  # as in OptimizationConfig.qps, 27.0 or true is no qp
+            if p.qp is not None and type(p.qp) is not int:
+                raise ValueError(f"qp {p.qp!r} is not an integer")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed point entry: {exc}") from exc
-    for value in ci95:
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{path}: ci95 must be finite and >= 0, got {value!r}")
     try:
         curve = build_curve(points, metric)
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    return curve, {"clip": doc.get("clip"), "variant": doc.get("variant"), "ci95": ci95}
+    return curve, {"clip": doc.get("clip"), "variant": doc.get("variant")}
 
 
 def write_curve_json(curve: RdCurve, path, clip: str | None = None,
-                     variant: str | None = None, ci95=None) -> None:
+                     variant: str | None = None) -> None:
+    """Write curve in load_curve_file's format. A point's qp and a non-zero
+    ci95 are written with it, so loading the file gives back the curve."""
     doc: dict = {"metric": curve.metric_id}
     if clip is not None:
         doc["clip"] = clip
     if variant is not None:
         doc["variant"] = variant
     pts = []
-    for i, p in enumerate(curve.points):
+    for p in curve.points:
         entry: dict = {"rate_kbps": p.rate, "quality": p.quality}
         if p.qp is not None:
             entry["qp"] = p.qp
-        if p.tag is not None:
-            entry["tag"] = p.tag
-        if ci95 is not None:
-            entry["ci95"] = float(ci95[i])
+        if p.ci95:
+            entry["ci95"] = p.ci95
         pts.append(entry)
     doc["points"] = pts
     with open(path, "w") as fh:

@@ -9,20 +9,13 @@ Every element goes through _el, which XML-escapes all text and attributes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .curves import RdCurve
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 40, 56
 COLORS = ("#1f6fb2", "#d1495b", "#3a7d44", "#8d5a97")
 CAP = 4.0  # half-width of error-bar caps, px
-
-
-@dataclass(frozen=True)
-class CurveSeries:
-    """One plotted variant: label plus (rate_kbps, quality, ci95) points."""
-
-    label: str
-    points: tuple[tuple[float, float, float], ...]
 
 
 def _fmt(v: float) -> str:
@@ -81,16 +74,18 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return ticks or [lo, hi]
 
 
-def render_rq_svg(clip: str, series: list[CurveSeries], metric_id: str = "quality") -> str:
-    """Render one clip's rate-quality chart to an SVG string."""
+def render_rq_svg(clip: str, series: list[tuple[str, RdCurve]],
+                  metric_id: str = "quality") -> str:
+    """Render one clip's rate-quality chart to an SVG string: one
+    (label, curve) series per variant, each point's ci95 as its error bar."""
     if not series:
         raise ValueError("no series to plot")
-    points = [p for s in series for p in s.points]
-    x_lo, x_hi = min(r for r, _, _ in points), max(r for r, _, _ in points)
+    points = [p for _, curve in series for p in curve.points]
+    x_lo, x_hi = min(p.rate for p in points), max(p.rate for p in points)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo * 0.9, x_hi * 1.1
-    y_lo = min(q - c for _, q, c in points)
-    y_hi = max(q + c for _, q, c in points)
+    y_lo = min(p.quality - p.ci95 for p in points)
+    y_hi = max(p.quality + p.ci95 for p in points)
     if "mos" in metric_id.lower():
         # opinion scores plot on the [0, 100] scale; bars clamp to it
         y_lo, y_hi = max(0.0, y_lo), min(100.0, max(y_hi, 1.0))
@@ -133,11 +128,11 @@ def render_rq_svg(clip: str, series: list[CurveSeries], metric_id: str = "qualit
                        12, "middle"))
     parts.append(_text(metric_id, 18, mid_y, 12, "middle", transform=f"rotate(-90 18 {mid_y})"))
 
-    for idx, s in enumerate(series):
+    for idx, (label, curve) in enumerate(series):
         color = COLORS[idx % len(COLORS)]
-        pts = sorted(s.points)
-        for r, q, ci in pts:
-            x, top, bot = px(r), _fmt(py(min(q + ci, y_hi))), _fmt(py(max(q - ci, y_lo)))
+        for p in curve.points:
+            q, ci = p.quality, p.ci95
+            x, top, bot = px(p.rate), _fmt(py(min(q + ci, y_hi))), _fmt(py(max(q - ci, y_lo)))
             parts += [
                 _el("g", close=False, class_="errorbar", stroke=color),
                 _line(_fmt(x), top, _fmt(x), bot),
@@ -145,13 +140,13 @@ def render_rq_svg(clip: str, series: list[CurveSeries], metric_id: str = "qualit
                 _line(_fmt(x - CAP), bot, _fmt(x + CAP), bot),
                 "</g>",
             ]
-        coords = " ".join(f"{_fmt(px(r))},{_fmt(py(q))}" for r, q, _ in pts)
+        coords = " ".join(f"{_fmt(px(p.rate))},{_fmt(py(p.quality))}" for p in curve.points)
         parts.append(_el("polyline", class_="curve", fill="none", stroke=color,
                          stroke_width=1.5, points=coords))
-        parts += [_el("circle", class_="marker", cx=_fmt(px(r)), cy=_fmt(py(q)), r=2.5,
-                      fill=color) for r, q, _ in pts]
+        parts += [_el("circle", class_="marker", cx=_fmt(px(p.rate)), cy=_fmt(py(p.quality)),
+                      r=2.5, fill=color) for p in curve.points]
         lx, ly = MARGIN_L + plot_w - 150, MARGIN_T + 14 + 16 * idx
         parts.append(_line(lx, ly - 4, lx + 22, ly - 4, stroke=color, stroke_width=1.5))
-        parts.append(_text(s.label, lx + 28, ly, 12))
+        parts.append(_text(label, lx + 28, ly, 12))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

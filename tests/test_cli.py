@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,9 +75,9 @@ def cold_start(*argvs) -> list[tuple[int | None, list[str]]]:
     return [tuple(step) for step in json.loads(proc.stdout.splitlines()[-1])]
 
 
-def write_curve_variant(path: Path, edit) -> Path:
-    """meadow's default curve file with edit applied to its parsed JSON."""
-    doc = json.loads((DATA / "curves" / "meadow__default.curve.json").read_text())
+def write_curve_variant(path: Path, edit, variant: str = "default") -> Path:
+    """A shipped meadow curve file with edit applied to its parsed JSON."""
+    doc = json.loads((DATA / "curves" / f"meadow__{variant}.curve.json").read_text())
     edit(doc)
     path.write_text(json.dumps(doc))
     return path
@@ -96,6 +97,10 @@ BAD_CURVE_FILES = [
                  "ci95 must be finite and >= 0, got -2.0", id="ci95-negative"),
     pytest.param(lambda doc: doc["points"][1].update(ci95="wide"),
                  "malformed point entry", id="ci95-text"),
+    pytest.param(lambda doc: doc["points"][1].update(qp=27.9),
+                 "malformed point entry: qp 27.9 is not an integer", id="qp-fraction"),
+    pytest.param(lambda doc: doc["points"][1].update(qp=True),
+                 "malformed point entry: qp True is not an integer", id="qp-bool"),
     pytest.param(lambda doc: doc["points"][1].update(quality="nan"),
                  "quality must be finite, got nan", id="quality-nan"),
     pytest.param(lambda doc: doc["points"][1].update(rate_kbps=-5),
@@ -338,7 +343,14 @@ class TestOptimizeCommand:
          "backend.model.k_star must be two positive numbers, got (1.2,)"),
         (lambda cfg: cfg["optimizer"].update(bounds=[0.5]),
          "optimizer.bounds must be a pair of finite numbers, got (0.5,)"),
-    ], ids=["k_star-one", "k_star-three", "model-k_star-one", "bounds-one"])
+        (lambda cfg: cfg["backend"].update(model={"alpha": True}),
+         "backend.model.alpha must be a positive number, got True"),
+        (lambda cfg: cfg["backend"].update(model={"alpha": "x"}),
+         "backend.model.alpha must be a positive number, got 'x'"),
+        (lambda cfg: cfg["backend"]["clips"]["harbor"].update(beta=math.nan),
+         "backend.clips.harbor.beta must be a positive number, got nan"),
+    ], ids=["k_star-one", "k_star-three", "model-k_star-one", "bounds-one", "alpha-bool",
+            "alpha-text", "beta-nan"])
     def test_config_value_of_wrong_shape_exits_1(self, tmp_path, capsys, edit, message):
         # k_star [1.2] used to escape main as an IndexError, [1.2, 0.9, 3]
         # to fail at the first encode with an unpacking error
@@ -457,6 +469,18 @@ class TestBdCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("text", ["abc", "nan", "inf", ""])
+    def test_anchor_that_is_not_a_finite_number_exits_1_naming_the_option(self, tmp_path,
+                                                                        capsys, text):
+        # abc used to fail as "could not convert string to float", and nan
+        # to be reported as an out-of-range anchor qnan
+        curves = DATA / "curves"
+        code = run("--out", tmp_path, "bd", curves / "meadow__default.curve.json",
+                   curves / "meadow__tuned.curve.json", "--anchors", f"60,{text}")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --anchors: {text!r} is not a finite number\n"
+        assert not (tmp_path / "bd.csv").exists()
 
     def test_knots_too_close_for_finite_slopes_exit_1(self, tmp_path, capsys):
         a = {"metric": "mos", "points": [{"rate_kbps": r, "quality": q}
@@ -766,6 +790,18 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {bad}: {message}")
+
+    def test_points_listed_in_descending_rate_draw_the_same_chart(self, tmp_path):
+        # each error bar must stay on its own point whatever the file's order
+        curves = [write_curve_variant(tmp_path / f"meadow__{variant}.curve.json",
+                                      lambda doc: doc["points"].reverse(), variant)
+                  for variant in ("default", "tuned")]
+        rates = [p["rate_kbps"] for p in json.loads(curves[0].read_text())["points"]]
+        assert rates == sorted(rates, reverse=True)
+        code = run("--out", tmp_path / "out", "report", *curves)
+        assert code == 0
+        assert (tmp_path / "out" / "meadow.svg").read_bytes() == (
+            ROOT / "tests" / "golden" / "report" / "meadow.svg").read_bytes()
 
     def test_markup_characters_in_names_are_escaped(self, tmp_path):
         names = {"clip": 'a&b<c>"d', "variant": 'v<1> & "2"', "metric": 'mos<&>"x'}

@@ -365,16 +365,26 @@ class TestEnforceMonotone:
 
 class TestCurveJson:
     def test_round_trip(self, tmp_path):
+        # listed out of rate order: each ci95 must travel with its own point
         curve = build_curve(
-            [RdPoint(100, 3.0, qp=27), RdPoint(50, 2.0, qp=39)], "ms_ssim"
+            [RdPoint(100, 3.0, qp=27, ci95=0.5), RdPoint(50, 2.0, qp=39, ci95=0.25),
+             RdPoint(75, 2.5)], "ms_ssim"
         )
         path = tmp_path / "c.json"
-        write_curve_json(curve, path, clip="clipA", variant="tuned", ci95=[0.5, 0.25])
-        back, _ = load_curve_file(path)
+        write_curve_json(curve, path, clip="clipA", variant="tuned")
+        back, meta = load_curve_file(path)
         assert back == curve
+        assert [p.ci95 for p in back.points] == [0.25, 0.0, 0.5]
+        assert meta == {"clip": "clipA", "variant": "tuned"}
         doc = json.loads(path.read_text())
         assert doc["clip"] == "clipA"
-        assert doc["points"][0]["rate_kbps"] == 50
+        assert doc["points"][0] == {"rate_kbps": 50, "quality": 2.0, "qp": 39, "ci95": 0.25}
+        assert doc["points"][1] == {"rate_kbps": 75, "quality": 2.5}
+
+    @pytest.mark.parametrize("ci95", [-0.5, math.nan, math.inf])
+    def test_ci95_must_be_finite_and_non_negative(self, ci95):
+        with pytest.raises(NonFiniteValue, match="^ci95 must be finite and >= 0"):
+            build_curve([RdPoint(50, 2.0, ci95=ci95), RdPoint(100, 3.0)], "mos")
 
     def test_validation_applies(self, tmp_path):
         path = tmp_path / "bad.json"
