@@ -12,7 +12,6 @@ import abc
 import dataclasses
 import hashlib
 import json
-import math
 import re
 import shlex
 import string
@@ -21,21 +20,32 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .curves import RdCurve, RdPoint, build_curve
+from .curves import RdCurve, RdPoint, build_curve, finite
 from .errors import BackendFailure
+
+
+def check_qps(qps, least: int = 2) -> None:
+    """The qps rule (least=1 for a request's qp): >= least distinct ints in [0, 63]."""
+    for qp in qps:
+        if type(qp) is not int:  # an encode cache row holds an integer qp
+            raise ValueError(f"qp {qp!r} is not an integer")
+        if not 0 <= qp <= 63:
+            raise ValueError(f"qp {qp} outside [0, 63]")
+    if len(qps) < least or len(set(qps)) != len(qps):
+        raise ValueError(f"need >= {least} distinct qps, got {list(qps)}")
 
 
 @dataclass(frozen=True)
 class LambdaMultipliers:
     """Scalers applied to the encoder's default lambda: k1 for keyframes,
-    k2 for golden/alternate-reference frames."""
+    k2 for golden/alternate-reference frames; each finite and > 0."""
 
     k1: float
     k2: float
 
     def __post_init__(self) -> None:
-        if not (self.k1 > 0 and self.k2 > 0):
-            raise ValueError(f"multipliers must be positive, got ({self.k1}, {self.k2})")
+        if not (finite(self.k1, above=0) and finite(self.k2, above=0)):
+            raise ValueError(f"multipliers must be finite and > 0, got ({self.k1}, {self.k2})")
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,10 @@ class EncodeRequest:
     metric_id: str = "ms_ssim"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.qp <= 63:
-            raise ValueError(f"qp {self.qp} outside [0, 63]")
+        for name in ("clip", "settings", "metric_id"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        check_qps((self.qp,), least=1)
 
 
 @dataclass(frozen=True)
@@ -140,11 +152,6 @@ class SyntheticBackend(EncoderBackend):
     def encode(self, request: EncodeRequest) -> EncodeResult:
         model = self.per_clip.get(request.clip, self.model)
         return synthetic_encode(model, request)
-
-
-def finite(value, above: float = -math.inf) -> bool:
-    """Whether value is an int or a float, not a bool, finite and > above."""
-    return type(value) in (int, float) and math.isfinite(value) and value > above
 
 
 def _object_of(ok):
@@ -316,12 +323,10 @@ def curve_requests(clip: str, ks: LambdaMultipliers, qps, settings: str = "nativ
 def build_rd_curve(backend: EncoderBackend, clip: str, ks: LambdaMultipliers,
                    qps, settings: str = "native", metric_id: str = "ms_ssim") -> RdCurve:
     """Encode the clip once per qp, as one backend.encode_many batch, and
-    assemble the curve; the batch's first failure, in qp order, is raised."""
+    assemble the curve of qps (by check_qps); the batch's first failure, in
+    qp order, is raised."""
     qps = list(qps)
-    if len(qps) < 2:
-        raise ValueError(f"need >= 2 qps, got {qps}")
-    if len(set(qps)) != len(qps):
-        raise ValueError(f"duplicate qp in {qps}")
+    check_qps(qps)
     requests = curve_requests(clip, ks, qps, settings, metric_id)
     results = backend.encode_many(requests)
     for res in results:

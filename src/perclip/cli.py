@@ -153,9 +153,11 @@ def cmd_bd(args) -> int:
     qual_res = bd_quality(ref, test)
     if args.anchors:
         texts = args.anchors.split(",")
-        for text in texts:
+        for i, text in enumerate(texts):
             if not math.isfinite(_number(text)):
                 raise ValueError(f"--anchors: {text!r} is not a finite number")
+            if _number(text) in map(_number, texts[:i]):
+                raise ValueError(f"--anchors: {text!r} repeats an earlier anchor")
         anchors = [(f"q{text}", float(text)) for text in texts]
     else:
         anchors = default_anchors(ref) or None

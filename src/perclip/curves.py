@@ -25,21 +25,43 @@ from .errors import (
 )
 
 
+def finite(value, above: float = -math.inf) -> bool:
+    """Whether value is a real number, not a bool, finite as a float and > above."""
+    try:
+        return (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value) and value > above)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class RdPoint:
     """One operating point: rate in kilobits per second, quality in metric
     units, the integer qp that produced it if known, and the half-width of
-    the quality's 95 % confidence interval (0 when unknown)."""
+    the quality's 95 % confidence interval (0 when unknown). Rate (> 0),
+    quality and ci95 (>= 0) must pass finite and are kept as floats."""
 
     rate: float
     quality: float
     qp: int | None = None
     ci95: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not finite(self.rate, above=0):
+            raise NonFiniteValue(f"rate must be positive and finite, got {self.rate!r}")
+        if not finite(self.quality):
+            raise NonFiniteValue(f"quality must be finite, got {self.quality!r}")
+        if not (finite(self.ci95) and self.ci95 >= 0):
+            raise NonFiniteValue(f"ci95 must be finite and >= 0, got {self.ci95!r}")
+        if self.qp is not None and type(self.qp) is not int:  # 27.0 or true is no qp
+            raise ValueError(f"qp {self.qp!r} is not an integer")
+        for name in ("rate", "quality", "ci95"):  # a file's 100 prints as 100.0 would
+            object.__setattr__(self, name, float(getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class RdCurve:
-    """Validated rate-quality curve, sorted by strictly increasing rate."""
+    """Rate-quality curve of >= 2 checked points, sorted by strictly increasing rate."""
 
     points: tuple[RdPoint, ...]
     metric_id: str
@@ -48,13 +70,6 @@ class RdCurve:
         pts = sorted(self.points, key=lambda p: p.rate)
         if len(pts) < 2:
             raise TooFewPoints(f"curve needs >= 2 points, got {len(pts)}")
-        for p in pts:
-            if not (math.isfinite(p.rate) and p.rate > 0):
-                raise NonFiniteValue(f"rate must be positive and finite, got {p.rate!r}")
-            if not math.isfinite(p.quality):
-                raise NonFiniteValue(f"quality must be finite, got {p.quality!r}")
-            if not 0.0 <= p.ci95 < math.inf:
-                raise NonFiniteValue(f"ci95 must be finite and >= 0, got {p.ci95!r}")
         for a, b in zip(pts, pts[1:]):
             if a.rate == b.rate:
                 raise DuplicateRate(f"duplicate rate {a.rate} kbps")
@@ -76,9 +91,9 @@ class RdCurve:
 
 
 def build_curve(points, metric_id: str) -> RdCurve:
-    """Validate and sort operating points into an RdCurve.
+    """Sort operating points, RdPoints or their field tuples, into an RdCurve.
 
-    Raises TooFewPoints, NonFiniteValue, or DuplicateRate on bad input.
+    Raises TooFewPoints, DuplicateRate, or RdPoint's NonFiniteValue or ValueError.
     """
     pts = tuple(p if isinstance(p, RdPoint) else RdPoint(*p) for p in points)
     return RdCurve(points=pts, metric_id=metric_id)
@@ -251,12 +266,12 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
     """Read a curve file, {"metric": id, "points": [{"rate_kbps", "quality",
     "qp"?, "ci95"?}]}, plus its optional annotations.
 
-    Each point's qp, when given, must be an integer, and its ci95 (0 when
-    missing) belongs to that point. Returns (curve, meta) where meta holds
-    "clip" and "variant", None when absent. "metric" and, when given,
-    "clip" and "variant" must be strings; a violation is a ValueError
-    naming the file, as is a malformed point or an invalid curve (of
-    build_curve's error class).
+    Each point's values go to RdPoint as written: rate_kbps, quality and
+    ci95 (0 when missing or null) must be JSON numbers, qp an integer when
+    given. Returns (curve, meta), meta holding "clip" and "variant" (None
+    when absent). "metric" and, when given, "clip" and "variant" must be
+    strings. A violation or a malformed point is a ValueError naming the
+    file, as is a curve of too few points or a duplicate rate, in its class.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -270,24 +285,12 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
         if not isinstance(value, str) and (key == "metric" or value is not None):
             raise ValueError(f"{path}: {key} must be a string, got {value!r}")
     try:
-        points = [
-            RdPoint(
-                rate=float(p["rate_kbps"]),
-                quality=float(p["quality"]),
-                qp=p.get("qp"),
-                ci95=float(p["ci95"]) if p.get("ci95") is not None else 0.0,
-            )
-            for p in raw
-        ]
-        for p in points:  # as in OptimizationConfig.qps, 27.0 or true is no qp
-            if p.qp is not None and type(p.qp) is not int:
-                raise ValueError(f"qp {p.qp!r} is not an integer")
+        curve = build_curve([(p["rate_kbps"], p["quality"], p.get("qp"),
+                              0.0 if p.get("ci95") is None else p["ci95"]) for p in raw], metric)
+    except (TooFewPoints, DuplicateRate) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed point entry: {exc}") from exc
-    try:
-        curve = build_curve(points, metric)
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
     return curve, {"clip": doc.get("clip"), "variant": doc.get("variant")}
 
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import (EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers,
-                       build_rd_curve, curve_requests, finite)
+                       build_rd_curve, check_qps, curve_requests)
 from .bd import bd_rate
-from .curves import RdCurve
+from .curves import RdCurve, RdPoint, finite
 from .errors import BackendFailure, NoOverlap, NonAscendingAbscissae, TooFewPoints
 from .powell import powell_box_minimize
 
@@ -57,13 +57,10 @@ class OptimizationConfig:
     metric_id: str = "ms_ssim"
 
     def __post_init__(self) -> None:
-        if len(set(self.qps)) != len(self.qps):
-            raise ValueError(f"qps: duplicate qp in {self.qps}")
-        for qp in self.qps:  # an encode cache row holds an integer qp
-            if type(qp) is not int:
-                raise ValueError(f"qps: qp {qp!r} is not an integer")
-            if not 0 <= qp <= 63:
-                raise ValueError(f"qps: qp {qp} outside [0, 63]")
+        try:
+            check_qps(self.qps)
+        except ValueError as exc:
+            raise ValueError(f"qps: {exc}") from None
         if not isinstance(self.metric_id, str):
             raise ValueError(f"metric_id must be a string, got {self.metric_id!r}")
         if not (isinstance(self.bounds, (tuple, list)) and len(self.bounds) == 2
@@ -96,7 +93,8 @@ class EncodeCache:
 
     k values are rounded to 1e-6 for the key, also in rows loaded from a
     file. Persistable to JSON so a repeated run issues zero encodes; a file
-    row is the key's six fields followed by rate and quality.
+    row is the key's six fields followed by rate and quality, checked on
+    load by building its EncodeRequest and an RdPoint of rate and quality.
     """
 
     def __init__(self) -> None:
@@ -148,21 +146,15 @@ class EncodeCache:
         entries = {}
         for row in rows:
             if not isinstance(row, list) or len(row) != 8:
-                raise ValueError(
-                    f"{path}: cache row {row!r} is not 8 fields (clip, settings, metric, "
-                    "qp, k1, k2, rate, quality); files from before the metric was keyed "
-                    "have 7 fields"
-                )
+                raise ValueError(f"{path}: cache row {row!r} is not 8 fields (clip, settings, "
+                                 "metric, qp, k1, k2, rate, quality); files from before the "
+                                 "metric was keyed have 7 fields")
             clip, settings, metric_id, qp, k1, k2, rate, quality = row
-            if not (all(isinstance(v, str) for v in (clip, settings, metric_id))
-                    and type(qp) is int and 0 <= qp <= 63
-                    and all(finite(v, above=0) for v in (k1, k2, rate)) and finite(quality)):
-                raise ValueError(
-                    f"{path}: cache row {row!r} is not valid: clip, settings and metric "
-                    "must be strings, qp an integer in [0, 63], k1, k2 and rate finite "
-                    "and > 0, quality finite"
-                )
-            request = EncodeRequest(clip, qp, LambdaMultipliers(k1, k2), settings, metric_id)
+            try:
+                request = EncodeRequest(clip, qp, LambdaMultipliers(k1, k2), settings, metric_id)
+                RdPoint(rate, quality)
+            except ValueError as exc:
+                raise ValueError(f"{path}: cache row {row!r} is not valid: {exc}") from None
             entries[self.key(request)] = EncodeResult(rate, quality)
         with self._lock:
             self._data.update(entries)

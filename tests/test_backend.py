@@ -139,6 +139,22 @@ class TestSyntheticModel:
         with pytest.raises(ValueError):
             LambdaMultipliers(0.0, 1.0)
 
+    @pytest.mark.parametrize("qp", [27.5, True, "27"])
+    def test_qp_must_be_an_integer(self, qp):
+        # 27.5 and True used to pass the range check alone
+        with pytest.raises(ValueError, match="is not an integer"):
+            EncodeRequest(clip="c", qp=qp, ks=KS_DEFAULT)
+
+    @pytest.mark.parametrize("field", ["clip", "settings", "metric_id"])
+    def test_names_must_be_strings(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a string, got 7"):
+            EncodeRequest(**{"clip": "c", "qp": 27, "ks": KS_DEFAULT, field: 7})
+
+    @pytest.mark.parametrize("k", [float("inf"), float("nan")])
+    def test_multipliers_must_be_finite(self, k):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            LambdaMultipliers(k, 1.0)
+
 
 class TestBuildRdCurve:
     def test_five_point_curve(self):

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line surface."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perclip.cli import main
 
@@ -92,9 +96,10 @@ BAD_CURVE_FILES = [
     pytest.param(lambda doc: doc.update(variant=7),
                  "variant must be a string, got 7", id="variant-int"),
     pytest.param(lambda doc: doc["points"][1].update(ci95="nan"),
-                 "ci95 must be finite and >= 0, got nan", id="ci95-nan"),
+                 "malformed point entry: ci95 must be finite and >= 0, got 'nan'", id="ci95-nan"),
     pytest.param(lambda doc: doc["points"][1].update(ci95=-2),
-                 "ci95 must be finite and >= 0, got -2.0", id="ci95-negative"),
+                 "malformed point entry: ci95 must be finite and >= 0, got -2",
+                 id="ci95-negative"),
     pytest.param(lambda doc: doc["points"][1].update(ci95="wide"),
                  "malformed point entry", id="ci95-text"),
     pytest.param(lambda doc: doc["points"][1].update(qp=27.9),
@@ -102,9 +107,18 @@ BAD_CURVE_FILES = [
     pytest.param(lambda doc: doc["points"][1].update(qp=True),
                  "malformed point entry: qp True is not an integer", id="qp-bool"),
     pytest.param(lambda doc: doc["points"][1].update(quality="nan"),
-                 "quality must be finite, got nan", id="quality-nan"),
+                 "malformed point entry: quality must be finite, got 'nan'", id="quality-nan"),
+    pytest.param(lambda doc: doc["points"][1].update(quality=True),
+                 "malformed point entry: quality must be finite, got True", id="quality-bool"),
     pytest.param(lambda doc: doc["points"][1].update(rate_kbps=-5),
-                 "rate must be positive and finite, got -5.0", id="rate-negative"),
+                 "malformed point entry: rate must be positive and finite, got -5",
+                 id="rate-negative"),
+    pytest.param(lambda doc: doc["points"][1].update(rate_kbps="8357.285"),
+                 "malformed point entry: rate must be positive and finite, got '8357.285'",
+                 id="rate-text"),
+    pytest.param(lambda doc: doc["points"][1].update(rate_kbps=10**400),
+                 f"malformed point entry: rate must be positive and finite, got {10**400}",
+                 id="rate-huge-int"),
     pytest.param(lambda doc: doc["points"][1].update(rate_kbps=doc["points"][0]["rate_kbps"]),
                  "duplicate rate", id="rate-duplicate"),
     pytest.param(lambda doc: doc.update(points=doc["points"][:1]),
@@ -287,7 +301,9 @@ class TestOptimizeCommand:
          "optimizer.qps: qp True is not an integer"),
         (lambda cfg: cfg["optimizer"].update(metric_id=5),
          "optimizer.metric_id must be a string, got 5"),
-    ], ids=["qp-float", "qp-bool", "metric-int"])
+        (lambda cfg: cfg["optimizer"].update(qps=[27]),
+         "optimizer.qps: need >= 2 distinct qps, got [27]"),
+    ], ids=["qp-float", "qp-bool", "metric-int", "qps-one"])
     def test_optimizer_value_the_cache_cannot_hold_exits_1(self, tmp_path, capsys, edit,
                                                           message):
         # such values used to be written to --cache, whose next load failed
@@ -349,8 +365,10 @@ class TestOptimizeCommand:
          "backend.model.alpha must be a positive number, got 'x'"),
         (lambda cfg: cfg["backend"]["clips"]["harbor"].update(beta=math.nan),
          "backend.clips.harbor.beta must be a positive number, got nan"),
+        (lambda cfg: cfg["backend"].update(model={"alpha": 10**400}),
+         f"backend.model.alpha must be a positive number, got {10**400}"),
     ], ids=["k_star-one", "k_star-three", "model-k_star-one", "bounds-one", "alpha-bool",
-            "alpha-text", "beta-nan"])
+            "alpha-text", "beta-nan", "alpha-huge-int"])
     def test_config_value_of_wrong_shape_exits_1(self, tmp_path, capsys, edit, message):
         # k_star [1.2] used to escape main as an IndexError, [1.2, 0.9, 3]
         # to fail at the first encode with an unpacking error
@@ -481,6 +499,37 @@ class TestBdCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: --anchors: {text!r} is not a finite number\n"
         assert not (tmp_path / "bd.csv").exists()
+
+    @pytest.mark.parametrize("anchors, repeat", [("60,60", "60"), ("60,70,60.0", "60.0")])
+    def test_repeated_anchor_exits_1_naming_it(self, tmp_path, capsys, anchors, repeat):
+        # 60,60,60.0 used to write savings_q60_pct twice plus savings_q60.0_pct,
+        # each counted in savings_mean_pct
+        curves = DATA / "curves"
+        code = run("--out", tmp_path, "bd", curves / "meadow__default.curve.json",
+                   curves / "meadow__tuned.curve.json", "--anchors", anchors)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --anchors: {repeat!r} repeats an earlier anchor\n"
+        assert not (tmp_path / "bd.csv").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=st.integers(0, 3), key=st.sampled_from(["rate_kbps", "quality", "qp", "ci95"]),
+           value=st.sampled_from([True, False, None, "", "nan", "8357.285", [], {}, 1e308,
+                                  5e-324, -0.0, 0, -1, 10**400]))
+    def test_any_edited_point_value_exits_0_or_with_one_error_line(self, tmp_path_factory,
+                                                                    point, key, value):
+        # one field of one of meadow's four default points; a value that
+        # passes the point rule but breaks the curve math (a quality of 1e308)
+        # may fail with bd_rate's message, which does not name the file
+        tmp = tmp_path_factory.mktemp("fuzz")
+        edited = write_curve_variant(tmp / "edited.json",
+                                     lambda doc: doc["points"][point].update({key: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("--out", tmp, "bd", edited, DATA / "curves" / "meadow__tuned.curve.json")
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")
 
     def test_knots_too_close_for_finite_slopes_exit_1(self, tmp_path, capsys):
         a = {"metric": "mos", "points": [{"rate_kbps": r, "quality": q}

@@ -184,6 +184,7 @@ class TestEncodeCache:
         ["c", "native", "ms_ssim", 27, 1.0, 1.0, "NaN", -5],
         ["c", "native", "ms_ssim", 27, 1.0, 1.0, 100.0, math.nan],
         ["c", "native", "ms_ssim", 27, 1.0, 1.0, 100.0, None],
+        ["c", "native", "ms_ssim", 27, 1.0, 1.0, 10**400, 18.0],
     ])
     def test_invalid_rows_rejected(self, tmp_path, row):
         path = tmp_path / "bad.json"
