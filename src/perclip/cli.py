@@ -18,7 +18,7 @@ from pathlib import Path
 from .backends import backend_from_config, from_section, known_keys
 from .bd import bd_quality, bd_rate, bitrate_savings, default_anchors
 from .correlation import fit_logistic5, correlate
-from .curves import RdCurve, load_curve_file
+from .curves import RdCurve, load_curve_file, read_json
 from .errors import PerclipError
 from .optimizer import OptimizationConfig, optimize_clip, EncodeCache
 from .report import render_rq_svg
@@ -28,6 +28,7 @@ from .subjective import (
     build_score_matrix,
     compute_dmos,
     compute_mos,
+    csv_rows,
     read_pairing_csv,
     read_scores_csv,
     recover_mle,
@@ -93,8 +94,7 @@ def cmd_optimize(args) -> int:
     out = Path(args.out)
     for clip in args.clips:
         _bare_name(clip)
-    with open(args.config) as fh:
-        cfg = known_keys(json.load(fh), args.config, {"backend", "optimizer"})
+    cfg = known_keys(read_json(args.config), args.config, {"backend", "optimizer"})
     if "backend" not in cfg:
         raise ValueError(f"{args.config}: missing section 'backend'")
     backend = backend_from_config(cfg["backend"])
@@ -148,7 +148,7 @@ def cmd_bd(args) -> int:
     out = Path(args.out)
     ref, ref_meta = load_curve_file(args.ref)
     test, _ = load_curve_file(args.test)
-    clip = ref_meta.get("clip") or Path(args.ref).stem
+    clip = ref_meta["clip"]
     rate_res = bd_rate(ref, test, clean=args.clean)
     qual_res = bd_quality(ref, test)
     if args.anchors:
@@ -245,22 +245,15 @@ def cmd_scores(args) -> int:
     return 0
 
 
-def _read_table(path) -> tuple[list[str], list[dict]]:
-    """Header and rows of a CSV keyed by pvs_id; a repeated pvs_id is an
-    error naming the file and the id."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty CSV")
-        columns, rows = list(reader.fieldnames), list(reader)
-    if "pvs_id" not in columns:
-        raise ValueError("both CSVs need a pvs_id column")
-    seen: set[str] = set()
-    for r in rows:
-        if r["pvs_id"] in seen:
-            raise ValueError(f"{path}: duplicate pvs_id {r['pvs_id']!r}")
-        seen.add(r["pvs_id"])
-    return columns, rows
+def _read_table(path) -> tuple[dict[str, int], dict[str, list]]:
+    """Column indices and rows by pvs_id of a CSV; a repeated pvs_id names the file."""
+    with csv_rows(path, ("pvs_id",)) as (columns, rows):
+        i, by_id, pad = columns["pvs_id"], {}, [None] * len(columns)
+        for row in rows:
+            row += pad[len(row):]
+            if by_id.setdefault(row[i], row) is not row:
+                raise ValueError(f"{path}: duplicate pvs_id {row[i]!r}")
+    return columns, by_id
 
 
 def _number(text) -> float:
@@ -271,47 +264,40 @@ def _number(text) -> float:
         return math.nan
 
 
-def _floats(path, rows: list[dict], column: str) -> list[float]:
-    """One column as finite floats; a missing, non-numeric or non-finite cell
-    names the file, the column and the row's pvs_id."""
-    values = [_number(r[column]) for r in rows]
+def _floats(path, columns: dict[str, int], rows: list[list], name: str) -> list[float]:
+    """One column as finite floats; a bad cell names the file, column and pvs_id."""
+    i, k = columns[name], columns["pvs_id"]
+    values = [_number(r[i]) for r in rows]
     for r, value in zip(rows, values):
         if not math.isfinite(value):
-            raise ValueError(
-                f"{path}: column {column}: bad value {r[column]!r} for {r['pvs_id']!r}"
-            )
+            raise ValueError(f"{path}: column {name}: bad value {r[i]!r} for {r[k]!r}")
     return values
 
 
 def cmd_correlate(args) -> int:
     out = Path(args.out)
-    m_cols, m_rows = _read_table(args.metrics)
-    s_cols, s_rows = _read_table(args.subjective)
+    (m_cols, m_rows), (s_cols, s_rows) = _read_table(args.metrics), _read_table(args.subjective)
     subj_col = next((c for c in ("subjective", "mos", "dmos") if c in s_cols), None)
     if subj_col is None:
         raise ValueError(f"{args.subjective}: no subjective/mos/dmos column")
-    subjective = dict(zip(
-        (r["pvs_id"] for r in s_rows), _floats(args.subjective, s_rows, subj_col)
-    ))
-    metric_names = [c for c in m_cols if c != "pvs_id"]
-    joined = [r for r in m_rows if r["pvs_id"] in subjective]
+    subjective = dict(zip(s_rows, _floats(args.subjective, s_cols, [*s_rows.values()], subj_col)))
+    joined = [pvs for pvs in m_rows if pvs in subjective]
     if len(joined) < 3:
         raise ValueError(f"join produced {len(joined)} rows; need >= 3")
-    y = [subjective[r["pvs_id"]] for r in joined]
+    rows, y = [m_rows[pvs] for pvs in joined], [subjective[pvs] for pvs in joined]
 
     out_rows = []
-    for name in metric_names:
-        x = _floats(args.metrics, joined, name)
+    for name in (c for c in m_cols if c != "pvs_id"):
+        x = _floats(args.metrics, m_cols, rows, name)
         try:
             params = fit_logistic5(x, y) if args.map else None
             rep = correlate(x, y, params=params)
-        except ValueError as exc:
+        except (PerclipError, ValueError) as exc:
             raise ValueError(f"{args.metrics}: column {name}: {exc}") from exc
         out_rows.append([name, rep.plcc, rep.srocc, rep.krcc, rep.rmse, rep.n])
     path = out / "correlations.csv"
     _write_csv(path, ["metric", "plcc", "srocc", "krcc", "rmse", "n"], out_rows)
-    with open(path) as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write(path.read_text())
     _write_manifest(args, "correlate", [args.metrics, args.subjective], [path])
     return 0
 
@@ -323,7 +309,7 @@ def cmd_report(args) -> int:
     by_clip: dict[str, list[tuple[str, RdCurve]]] = {}
     for path in args.curves:
         curve, meta = load_curve_file(path)
-        clip = _bare_name(meta.get("clip") or Path(path).stem.split("__")[0], f"{path}: ")
+        clip = _bare_name(meta["clip"], f"{path}: ")
         variant = meta.get("variant") or Path(path).stem
         by_clip.setdefault(clip, []).append((variant, curve))
 

@@ -86,13 +86,23 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
     bounded trust-region-reflective least squares (Branch, Coleman & Li
     1999) over parameters scaled to the unit box, given the analytic
     Jacobian. Never worse, in squared error, than the best non-decreasing line.
+    Values so large, or so close together, that the arithmetic overflows
+    raise FitDiverged.
     """
-    from scipy.optimize import least_squares
-    from scipy.special import expit
-
     x, y = _finite_pairs(objective, subjective)
     if len(x) < 6:
         raise TooFewPoints(f"need >= 6 pairs to fit, got {len(x)}")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _fit_logistic5(x, y)
+    except FloatingPointError as exc:
+        raise FitDiverged(f"values out of range for the logistic fit: {exc}") from None
+
+
+def _fit_logistic5(x: np.ndarray, y: np.ndarray) -> LogisticParams:
+    from scipy.optimize import least_squares
+    from scipy.special import expit
+
     rng_x = float(x.max() - x.min())
     if rng_x == 0.0:
         raise DegenerateInput("objective values are all equal")
@@ -127,11 +137,7 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
                            bounds=(0.0, 1.0), method="trf")
     fitted = LogisticParams(*(float(v) for v in lower + result.x * span))
     baseline = _linear_fallback(x, y, b3=float(np.median(x)))
-    if _sse(baseline, x, y) < _sse(fitted, x, y):
-        fitted = baseline
-    if not math.isfinite(_sse(fitted, x, y)):
-        raise FitDiverged("fit produced non-finite residuals")
-    return fitted
+    return baseline if _sse(baseline, x, y) < _sse(fitted, x, y) else fitted
 
 
 def average_ranks(values) -> np.ndarray:
@@ -142,8 +148,10 @@ def average_ranks(values) -> np.ndarray:
 
 
 def pearson(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # each side scaled by a power of two to a largest |value| below 1: exact,
+    # so the result is bitwise that of the raw values wherever those do not overflow
+    x, y = (np.asarray(v, dtype=float) for v in (x, y))
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(xc @ xc)

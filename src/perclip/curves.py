@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -268,13 +269,14 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
 
     Each point's values go to RdPoint as written: rate_kbps, quality and
     ci95 (0 when missing or null) must be JSON numbers, qp an integer when
-    given. Returns (curve, meta), meta holding "clip" and "variant" (None
-    when absent). "metric" and, when given, "clip" and "variant" must be
-    strings. A violation or a malformed point is a ValueError naming the
-    file, as is a curve of too few points or a duplicate rate, in its class.
+    given. Returns (curve, meta), meta holding "clip" and "variant"; the
+    clip is the file's "clip", else its file name before the first "__",
+    and the variant None when absent. "metric" and, when given, "clip" and
+    "variant" must be strings. A violation, a malformed point or two points
+    with one qp is a ValueError naming the file, as is a curve of too few
+    points or a duplicate rate, in its class.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         metric = doc["metric"]
         raw = doc["points"]
@@ -291,7 +293,22 @@ def load_curve_file(path) -> tuple[RdCurve, dict]:
         raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed point entry: {exc}") from exc
-    return curve, {"clip": doc.get("clip"), "variant": doc.get("variant")}
+    qps = [p.qp for p in curve.points if p.qp is not None]
+    repeat = next((qp for i, qp in enumerate(qps) if qp in qps[:i]), None)
+    if repeat is not None:  # bd's default anchors read one point per qp
+        raise ValueError(f"{path}: duplicate qp {repeat}")
+    clip = doc.get("clip") or Path(path).stem.split("__")[0]
+    return curve, {"clip": clip, "variant": doc.get("variant")}
+
+
+def read_json(path):
+    """The JSON document in the file at path; a file that is not UTF-8 JSON
+    is a ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (RecursionError, ValueError) as exc:  # too deep, not JSON, not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_curve_json(curve: RdCurve, path, clip: str | None = None,

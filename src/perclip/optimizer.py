@@ -26,7 +26,7 @@ from pathlib import Path
 from .backends import (EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers,
                        build_rd_curve, check_qps, curve_requests)
 from .bd import bd_rate
-from .curves import RdCurve, RdPoint, finite
+from .curves import RdCurve, RdPoint, finite, read_json
 from .errors import BackendFailure, NoOverlap, NonAscendingAbscissae, TooFewPoints
 from .powell import powell_box_minimize
 
@@ -130,7 +130,9 @@ class EncodeCache:
         tmp = path.with_name(path.name + ".tmp")
         try:
             with open(tmp, "w") as fh:
-                json.dump(rows, fh)
+                # each row by the C encoder: json.dump encodes in Python, and one
+                # json.dumps of all rows holds about 8x the file in small strings
+                fh.write("[" + ", ".join(map(json.dumps, rows)) + "]")
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -139,8 +141,7 @@ class EncodeCache:
             raise
 
     def load(self, path) -> None:
-        with open(path) as fh:
-            rows = json.load(fh)
+        rows = read_json(path)
         if not isinstance(rows, list):
             raise ValueError(f"{path}: cache file is not a JSON list of rows")
         entries = {}

@@ -12,18 +12,19 @@ MOS and DMOS tables are columnar: the stimulus ids plus one array each of
 means, 95% half-widths and score counts. compute_dmos maps the pairing to
 indices and gathers the paired columns.
 
-Ingestion is columnar: one csv.reader pass appends the subject ids, the
-stimulus ids (one str per distinct id) and the raw score cells to one list
-each, optional columns likewise; the scores convert in one np.fromiter call
-and pass one vectorised range check. Only when it fails are the rows walked
-again, to name the first offending line. build_score_matrix scatters the
-scores in bulk and runs np.unique only to name a repeated pair.
+Every CSV input goes through csv_rows. Score ingestion is columnar: one
+pass appends the subject ids, the stimulus ids and the score cells to one
+list each, optional columns likewise; the scores convert in one np.fromiter
+call and pass one vectorised range check. Only when it fails are the rows
+walked again, to name the first offending line. build_score_matrix scatters
+the scores in bulk and runs np.unique only to name a repeated pair.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -286,31 +287,46 @@ class ScoreTable(NamedTuple):
     meta: dict[str, list[str | None]]
 
 
+@contextmanager
+def csv_rows(path, required):
+    """Yield (columns, rows) of the CSV file at path: each header name's index
+    and the non-blank rows, which may stop short of the header. The header must
+    hold every required name and repeat none; csv and UTF-8 errors name the line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            columns = {name: i for i, name in enumerate(header)}
+            if len(columns) < len(header):
+                repeat = next(name for i, name in enumerate(header) if name in header[:i])
+                raise ValueError(f"{path}: header repeats column {repeat!r}")
+            if not set(required) <= columns.keys():
+                raise ValueError(f"{path}: header must contain {sorted(required)}")
+            yield columns, filter(None, reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # the decoder reads ahead of the reader
+            with open(path, "rb") as raw:  # a line with a bad byte decodes two ways
+                lineno = next(n for n, line in enumerate(raw, start=1) if
+                              line.decode("utf-8", "replace") != line.decode("utf-8", "ignore"))
+            raise ValueError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from None
+
+
 def read_scores_csv(path) -> ScoreTable:
     """Read rows of subject_id,pvs_id,score plus optional metadata columns
-    (clip, qp, variant, role, cohort...), kept as strings in ScoreTable.meta.
-    Raises ValueError naming the first offending line on a score that is not
-    a finite number in [0, 100] or an empty subject_id or pvs_id. Blank lines
-    are skipped and not counted; short rows read as missing cells."""
+    (clip, qp, variant, role, cohort...), kept as strings in ScoreTable.meta;
+    a short row's missing cells read as None. A score that is not a finite number
+    in [0, 100] or an empty id is a ValueError naming the line, blank lines uncounted."""
     required = ("subject_id", "pvs_id", "score")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not set(required) <= set(header):
-            raise ValueError(f"{path}: header must contain {sorted(required)}")
-        # a repeated column name reads its last occurrence
-        columns = {name: i for i, name in enumerate(header)}
+    with csv_rows(path, required) as (columns, rows):
         i_subject, i_pvs, i_score = (columns[name] for name in required)
-        width = len(header)
-        pad = [None] * width
-        subjects: list[str] = []
-        pvs: list[str] = []
-        raw: list[str] = []
+        width, pad = len(columns), [None] * len(columns)
+        subjects, pvs, raw = [], [], []  # ids and score cells, one per row
         meta = {name: [] for name in columns if name not in required}
         extra = [(meta[name].append, columns[name]) for name in meta]
         add_subject, add_pvs, add_raw = subjects.append, pvs.append, raw.append
         subject_id, pvs_id = {}.setdefault, {}.setdefault  # one str per distinct id
-        for rec in filter(None, reader):
+        for rec in rows:
             if len(rec) < width:
                 rec += pad[len(rec):]
             add_subject(subject_id(rec[i_subject], rec[i_subject]))
@@ -391,13 +407,11 @@ def read_pairing_csv(path) -> dict[str, str]:
     """Read dist_pvs_id,src_pvs_id rows into a pairing map; each distorted
     stimulus is paired once."""
     pairing: dict[str, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"dist_pvs_id", "src_pvs_id"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: header must contain {sorted(required)}")
-        for lineno, rec in enumerate(reader, start=2):
-            dist, src = rec.get("dist_pvs_id"), rec.get("src_pvs_id")
+    with csv_rows(path, ("dist_pvs_id", "src_pvs_id")) as (columns, rows):
+        i_dist, i_src, pad = columns["dist_pvs_id"], columns["src_pvs_id"], [None] * len(columns)
+        for lineno, rec in enumerate(rows, start=2):
+            rec += pad[len(rec):]
+            dist, src = rec[i_dist], rec[i_src]
             if not dist or not src:
                 raise ValueError(f"{path}: line {lineno}: empty pairing entry")
             if dist in pairing:

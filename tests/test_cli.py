@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -85,6 +86,57 @@ def write_curve_variant(path: Path, edit, variant: str = "default") -> Path:
     edit(doc)
     path.write_text(json.dumps(doc))
     return path
+
+
+def run_quietly(*argv) -> tuple[int, str]:
+    """main's exit code and stderr, with stdout dropped and a runtime or user
+    warning raised as an error, so that any warning fails the caller."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", UserWarning)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(*argv)
+    return code, err.getvalue()
+
+
+# Cell values an edited CSV input may hold, drawn by index to keep a failing
+# example's repr short: a 401-digit integer is inf as a float, and a
+# 200 000-character cell is over the csv module's field limit
+CSV_CELLS = ["", "nan", "1e308", "5e-324", "-0", "9" * 401, "qualité ✓ 画質", "x" * 200_000]
+
+
+def edit_csv(path: Path, kind: str, row: int, col: int, value: str) -> bytes:
+    """The bytes of the CSV file at path with one edit: a body cell or a
+    header name set to value, a column dropped, a header name repeating the
+    next one, or a byte that is not UTF-8 put before a body line; row and
+    col pick the place, modulo the file's size."""
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    col %= len(rows[0])
+    row = 1 + row % (len(rows) - 1)
+    if kind == "cell":
+        rows[row][col] = value
+    elif kind == "header":
+        rows[0][col] = value
+    elif kind == "drop":
+        for rec in rows:
+            del rec[col:col + 1]
+    elif kind == "repeat":
+        rows[0][col] = rows[0][(col + 1) % len(rows[0])]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    lines = buf.getvalue().encode().splitlines(keepends=True)
+    if kind == "utf8":
+        lines[row] = b"\xff" + lines[row]
+    return b"".join(lines)
+
+
+def assert_one_error_line_or_ok(code: int, err: str) -> None:
+    assert code in (0, 1)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        assert err == ""
 
 
 # (edit of a shipped curve file, start of the error after the file name)
@@ -511,6 +563,27 @@ class TestBdCommand:
         assert capsys.readouterr().err == f"error: --anchors: {repeat!r} repeats an earlier anchor\n"
         assert not (tmp_path / "bd.csv").exists()
 
+    def test_file_without_clip_takes_the_name_report_gives_it(self, tmp_path):
+        # bd used to call meadow__default.curve.json's clip meadow__default.curve
+        ref = write_curve_variant(tmp_path / "meadow__default.curve.json",
+                                  lambda doc: doc.pop("clip"))
+        assert run("--out", tmp_path / "bd", "bd", ref,
+                   DATA / "curves" / "meadow__tuned.curve.json") == 0
+        assert run("--out", tmp_path / "report", "report", ref) == 0
+        assert read_rows(tmp_path / "bd" / "bd.csv")[0]["clip"] == "meadow"
+        assert read_rows(tmp_path / "report" / "report_summary.csv")[0]["clip"] == "meadow"
+
+    @pytest.mark.parametrize("command", ["bd", "report"])
+    def test_repeated_qp_exits_1_naming_file_and_qp(self, tmp_path, capsys, command):
+        # relabelling the qp-59 point as 39 used to make bd exit 0 with a
+        # savings_qp39_pct read off the first such point and no qp59 column
+        bad = write_curve_variant(tmp_path / "bad.json",
+                                  lambda doc: doc["points"][0].update(qp=39))
+        code = run("--out", tmp_path, command, bad, DATA / "curves" / "meadow__tuned.curve.json")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: duplicate qp 39\n"
+        assert not (tmp_path / "bd.csv").exists()
+
     @settings(max_examples=200, deadline=None)
     @given(point=st.integers(0, 3), key=st.sampled_from(["rate_kbps", "quality", "qp", "ci95"]),
            value=st.sampled_from([True, False, None, "", "nan", "8357.285", [], {}, 1e308,
@@ -783,6 +856,25 @@ class TestCorrelateCommand:
             assert "psnr_y_db" in capsys.readouterr().err
             assert not (tmp_path / mode / "correlations.csv").exists()
 
+    @pytest.mark.parametrize("which", ["metrics", "subjective"])
+    def test_value_of_extreme_size_gives_no_nan_and_no_warning(self, tmp_path, which):
+        # one cell of 1e308 used to print numpy overflow warnings, then write
+        # plcc nan without the map, or fail inside scipy with it
+        paths = {"metrics": DATA / "metrics.csv", "subjective": DATA / "subjective.csv"}
+        paths[which] = tmp_path / f"{which}.csv"
+        paths[which].write_bytes(edit_csv(DATA / f"{which}.csv", "cell", 3, 1, "1e308"))
+        code, err = run_quietly("--out", tmp_path / "raw", "correlate", paths["metrics"],
+                                paths["subjective"], "--no-map")
+        assert (code, err) == (0, "")
+        rows = read_rows(tmp_path / "raw" / "correlations.csv")
+        assert all(math.isfinite(float(r[key])) for r in rows for key in ("plcc", "srocc"))
+        code, err = run_quietly("--out", tmp_path / "mapped", "correlate", paths["metrics"],
+                                paths["subjective"])
+        assert code == 1
+        assert err.startswith(f"error: {paths['metrics']}: column msssim_db: values out of "
+                              "range for the logistic fit: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("which, row, column", [
         ("metrics", "p3,1.5\n", "m2"),
         ("metrics", "p3,1.5,abc\n", "m2"),
@@ -808,6 +900,122 @@ class TestCorrelateCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {paths[which]}: ")
         assert f"column {column}" in err
+
+
+class TestCsvInputs:
+    """The four CSV inputs of scores and correlate share one reader, so a
+    bad file of any of them ends in one error line naming it."""
+
+    INPUTS = {"scores": DATA / "scores.csv", "pairing": DATA / "pairing.csv",
+              "metrics": DATA / "metrics.csv", "subjective": DATA / "subjective.csv"}
+
+    def run_on(self, tmp_path, which: str, data: bytes, *options) -> tuple[int, str, Path]:
+        """The command that reads input which, run with options and that
+        input replaced by data: its exit code, stderr and the replaced file."""
+        paths = dict(self.INPUTS)
+        paths[which] = tmp_path / f"{which}.csv"
+        paths[which].write_bytes(data)
+        if which in ("scores", "pairing"):
+            argv = ["scores", paths["scores"], "--pairing", paths["pairing"]]
+        else:
+            argv = ["correlate", paths["metrics"], paths["subjective"]]
+        return (*run_quietly("--out", tmp_path / "out", *argv, *options), paths[which])
+
+    @pytest.mark.parametrize("which", list(INPUTS))
+    def test_cell_over_the_field_limit_exits_1_naming_file_and_line(self, tmp_path, which):
+        # the csv module's _csv.Error used to escape main as a traceback
+        data = edit_csv(self.INPUTS[which], "cell", 2, 1, "x" * 200_000)
+        code, err, path = self.run_on(tmp_path, which, data)
+        assert code == 1
+        assert err == f"error: {path}: line 4: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("which", list(INPUTS))
+    def test_repeated_column_name_exits_1_naming_it(self, tmp_path, which):
+        # a metrics CSV with two psnr_y_db columns used to exit 0 with two
+        # identical rows, both from the last such column
+        data = edit_csv(self.INPUTS[which], "repeat", 0, 0, "")
+        code, err, path = self.run_on(tmp_path, which, data)
+        repeat = self.INPUTS[which].read_text().splitlines()[0].split(",")[1]
+        assert (code, err) == (1, f"error: {path}: header repeats column {repeat!r}\n")
+        assert not (tmp_path / "out" / "correlations.csv").exists()
+
+    def test_subjective_csv_without_pvs_id_exits_1_naming_it(self, tmp_path):
+        # used to fail as "both CSVs need a pvs_id column", naming no file
+        data = edit_csv(self.INPUTS["subjective"], "header", 0, 0, "id")
+        code, err, path = self.run_on(tmp_path, "subjective", data)
+        assert (code, err) == (1, f"error: {path}: header must contain ['pvs_id']\n")
+
+    @pytest.mark.parametrize("which", list(INPUTS))
+    def test_byte_that_is_not_utf8_exits_1_naming_file_and_line(self, tmp_path, which):
+        # the codec's message used to name neither the file nor the line
+        data = edit_csv(self.INPUTS[which], "utf8", 20, 0, "")
+        code, err, path = self.run_on(tmp_path, which, data)
+        assert (code, err) == (1, f"error: {path}: line 22: not UTF-8 (invalid start byte)\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.sampled_from(["scores", "pairing"]),
+           kind=st.sampled_from(["cell", "header", "drop", "repeat", "utf8"]),
+           row=st.integers(0, 10**6), col=st.integers(0, 10**6),
+           cell=st.integers(0, len(CSV_CELLS) - 1))
+    def test_any_edited_scores_input_exits_0_or_with_one_error_line(
+            self, tmp_path_factory, which, kind, row, col, cell):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        data = edit_csv(self.INPUTS[which], kind, row, col, CSV_CELLS[cell])
+        assert_one_error_line_or_ok(*self.run_on(tmp, which, data)[:2])
+
+    @settings(max_examples=100, deadline=None)
+    @given(which=st.sampled_from(["metrics", "subjective"]),
+           kind=st.sampled_from(["cell", "header", "drop", "repeat", "utf8"]),
+           row=st.integers(0, 10**6), col=st.integers(0, 10**6),
+           cell=st.integers(0, len(CSV_CELLS) - 1), mapped=st.booleans())
+    def test_any_edited_correlate_input_exits_0_or_with_one_error_line(
+            self, tmp_path_factory, which, kind, row, col, cell, mapped):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        data = edit_csv(self.INPUTS[which], kind, row, col, CSV_CELLS[cell])
+        code, err, _ = self.run_on(tmp, which, data, "--map" if mapped else "--no-map")
+        assert_one_error_line_or_ok(code, err)
+        if code == 0:
+            for rec in read_rows(tmp / "out" / "correlations.csv"):
+                assert all(math.isfinite(float(rec[key]))
+                           for key in ("plcc", "srocc", "krcc", "rmse")), rec
+
+
+class TestJsonInputs:
+    """A config, cache or curve file that is not JSON names itself."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"backend": {\n', "Expecting property name enclosed in double quotes: line 2 "
+                              "column 1 (char 14)"),
+        (b'{"backend": "\xff"}\n', "'utf-8' codec can't decode byte 0xff in position 13: "
+                                   "invalid start byte"),
+    ], ids=["truncated", "not-utf8"])
+    def test_bad_config_exits_1_naming_it(self, tmp_path, data, message):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(data)
+        code, err = run_quietly("--out", tmp_path, "optimize", "meadow", "--config", config,
+                                "--cache", tmp_path / "cache.json")
+        assert (code, err) == (1, f"error: {config}: {message}\n")
+
+    def test_truncated_cache_exits_1_naming_it(self, tmp_path):
+        # with both --config and --cache the bare decoder message named neither
+        cache = tmp_path / "cache.json"
+        cache.write_text('[["meadow", "native", "ms_ssim", 27,\n')
+        code, err = run_quietly("--out", tmp_path, "optimize", "meadow",
+                                "--config", DATA / "backend_synthetic.json", "--cache", cache)
+        assert (code, err) == (1, f"error: {cache}: Expecting value: line 2 column 1 (char 37)\n")
+
+    @pytest.mark.parametrize("command", ["bd", "report"])
+    @pytest.mark.parametrize("text", [
+        (DATA / "curves" / "meadow__default.curve.json").read_text()[:40],
+        "[" * 100_000,  # used to escape main as a RecursionError traceback
+    ], ids=["truncated", "nested-too-deep"])
+    def test_curve_file_that_is_not_json_exits_1_naming_it(self, tmp_path, command, text):
+        curve = tmp_path / "meadow__default.curve.json"
+        curve.write_text(text)
+        code, err = run_quietly("--out", tmp_path / "out", command, curve,
+                                DATA / "curves" / "meadow__tuned.curve.json")
+        assert code == 1
+        assert err.startswith(f"error: {curve}: ") and len(err.splitlines()) == 1
 
 
 class TestReportCommand:

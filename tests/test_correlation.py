@@ -2,6 +2,8 @@
 
 import csv
 import itertools
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from perclip import LogisticParams, correlate, fit_logistic5
 from perclip.correlation import _sse, average_ranks, kendall_tau_b, pearson
-from perclip.errors import DegenerateInput, TooFewPoints
+from perclip.errors import DegenerateInput, FitDiverged, TooFewPoints
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -169,6 +171,25 @@ class TestCorrelate:
             correlate(*pair)
         with pytest.raises(ValueError, match="finite"):
             correlate(*pair, params=LogisticParams(1.0, 1.0, 5.0, 1.0, 0.0))
+
+    def test_pearson_of_values_scaled_by_powers_of_two_is_bitwise_the_same(self, rng):
+        x, y = rng.normal(size=40), rng.uniform(0, 100, 40)
+        want = pearson(x, y)
+        for k in (-900, -60, 60, 900):
+            assert pearson(np.ldexp(x, k), y) == want
+            assert pearson(x, np.ldexp(y, k)) == want
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_value_of_extreme_size_gives_a_finite_pearson(self, side):
+        # the sums of squares used to overflow to a nan plcc, with warnings
+        pair = [np.linspace(0, 10, 12), np.linspace(5, 50, 12)]
+        pair[side][4] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = correlate(*pair)
+            with pytest.raises(FitDiverged, match="values out of range for the logistic fit"):
+                fit_logistic5(*pair)
+        assert -1 <= rep.plcc <= 1 and math.isfinite(rep.plcc)
 
     def test_bounds_hold_on_random_data(self, rng):
         for _ in range(20):

@@ -394,6 +394,22 @@ class TestCurveJson:
         with pytest.raises(TooFewPoints, match="^" + re.escape(str(path))):
             load_curve_file(path)
 
+    @pytest.mark.parametrize("doc_clip, clip", [("clipA", "clipA"), (None, "meadow"),
+                                                ("", "meadow")])
+    def test_clip_is_the_files_else_its_name_before_the_double_underscore(
+            self, tmp_path, doc_clip, clip):
+        path = tmp_path / "meadow__tuned.curve.json"
+        write_curve_json(build_curve([RdPoint(50, 2.0), RdPoint(100, 3.0)], "mos"), path,
+                         clip=doc_clip)
+        assert load_curve_file(path)[1] == {"clip": clip, "variant": None}
+
+    def test_duplicate_qp_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        write_curve_json(build_curve([RdPoint(50, 1.0, qp=39), RdPoint(70, 1.5),
+                                      RdPoint(90, 2.0, qp=39)], "mos"), path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate qp 39$"):
+            load_curve_file(path)
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": []}))

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import os
 import random
 import threading
 import warnings
@@ -136,6 +137,18 @@ class TestEncodeCache:
         cache.put(other, EncodeResult(5.0, 0.9, artifacts={"bitstream": "c.bin"}))
         assert cache.get(other) == EncodeResult(5.0, 0.9)
 
+    @pytest.mark.parametrize("qps", [(), (27,), (27, 39, 51)])
+    def test_save_writes_what_json_dump_writes(self, tmp_path, backend, qps):
+        cache = EncodeCache()
+        for qp in qps:
+            request = EncodeRequest(clip="c", qp=qp, ks=LambdaMultipliers(1.1, 0.9))
+            cache.put(request, backend.encode(request))
+        cache.save(tmp_path / "cache.json")
+        rows = [[*k, v.rate, v.quality] for k, v in sorted(cache._data.items())]
+        with open(tmp_path / "dumped.json", "w") as fh:
+            json.dump(rows, fh)
+        assert (tmp_path / "cache.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
     def test_key_rounds_multipliers(self):
         a = EncodeRequest(clip="c", qp=27, ks=LambdaMultipliers(1.0000000001, 1.0))
         b = EncodeRequest(clip="c", qp=27, ks=LambdaMultipliers(1.0, 1.0))
@@ -260,7 +273,7 @@ class TestEncodeCache:
         def crash(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", crash)
+        monkeypatch.setattr(os, "fsync", crash)  # after the rows are written to the temp file
         with pytest.raises(OSError, match="disk full"):
             cache.save(path)
         assert path.read_bytes() == before

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from perclip import (
     recover_mle,
 )
 from perclip.errors import MissingPair, NonConvergence, TooFewRaters
-from perclip.subjective import ScoreTable, subject_cohorts
+from perclip.subjective import ScoreTable, csv_rows, subject_cohorts
 
 from conftest import (
     make_matrix,
@@ -705,6 +706,42 @@ class TestCsvIngestion:
         ]
         with pytest.raises(ValueError, match="duplicate"):
             build_score_matrix(score_table(rows))
+
+    def test_csv_rows_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n\n1,2,3\n4\n\n5,6,7,8\n")
+        with csv_rows(path, ("a", "c")) as (columns, rows):
+            assert columns == {"a": 0, "b": 1, "c": 2}
+            assert list(rows) == [["1", "2", "3"], ["4"], ["5", "6", "7", "8"]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "header must contain ['a', 'c']"),
+        ("a,b\n1,2\n", "header must contain ['a', 'c']"),
+        ("a,c,b,c\n1,2,3,4\n", "header repeats column 'c'"),
+        ("a,c\n1,2\n\n3,4\n5," + "6" * 200_000 + "\n",
+         "line 5: field larger than field limit (131072)"),
+    ], ids=["empty", "missing", "repeated", "over-field-limit"])
+    def test_csv_rows_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            with csv_rows(path, ("a", "c")) as (_, rows):
+                list(rows)
+
+    def test_csv_rows_name_the_line_of_a_byte_that_is_not_utf8(self, tmp_path):
+        # the decoder reads the file in chunks, ahead of the csv reader's line
+        path = tmp_path / "t.csv"
+        path.write_bytes("a,c\n".encode() + "é,1\n".encode() * 3000 + b"x,\xe9\n"
+                         + b"y,2\n" * 3000)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3002: not UTF-8"):
+            with csv_rows(path, ("a", "c")) as (_, rows):
+                list(rows)
+
+    def test_pairing_short_row_rejected_naming_line(self, tmp_path):
+        path = tmp_path / "pairing.csv"
+        path.write_text("dist_pvs_id,src_pvs_id\ndist_a,src_a\n\ndist_b\n")
+        with pytest.raises(ValueError, match=r"pairing.csv: line 3: empty pairing entry"):
+            read_pairing_csv(path)
 
     def test_pairing_round_trip(self, tmp_path):
         path = tmp_path / "pairing.csv"
