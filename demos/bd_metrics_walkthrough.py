@@ -11,6 +11,7 @@ from perclip import (
     bd_rate,
     bitrate_savings,
     build_curve,
+    default_anchors,
     enforce_monotone,
     pchip_fit,
 )
@@ -42,8 +43,8 @@ print(f"\nbd_rate          {rate_delta.value:+.3f}%  over quality {rate_delta.ov
 quality_delta = bd_quality(ref, tuned)
 print(f"bd_quality       {quality_delta.value:+.3f}   over log10(rate) {quality_delta.overlap}")
 
-# Rate change at fixed anchor qualities (defaults: reference qp 27/39/59).
-savings = bitrate_savings(ref, tuned)
+# Rate change at fixed anchor qualities: the reference's qp 27/39/59 points.
+savings = bitrate_savings(ref, tuned, default_anchors(ref))
 for label, value in savings.per_anchor:
     print(f"savings at {label}: {value:+.3f}%")
 print(f"mean savings:    {savings.mean:+.3f}%")

@@ -20,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .curves import RdCurve, RdPoint, build_curve, finite
-from .errors import BackendFailure
+from .curves import RdCurve, RdPoint, build_curve, check_point, finite
+from .errors import BackendFailure, NonFiniteValue
 
 
 def check_qps(qps, least: int = 2) -> None:
@@ -65,16 +65,22 @@ class EncodeRequest:
 
 @dataclass(frozen=True)
 class EncodeResult:
+    """One encode's answer; rate and quality keep check_point's rule."""
+
     rate: float  # kilobits per second
     quality: float
     artifacts: dict | None = None
 
+    def __post_init__(self) -> None:
+        check_point(self.rate, self.quality)
+
 
 def _encode_labelled(encode, request: EncodeRequest) -> EncodeResult | BackendFailure:
-    """encode(request), or the BackendFailure it raised, labelled with the qp."""
+    """encode(request), or the BackendFailure it raised, labelled with the qp;
+    an answer that breaks the point rule is such a failure."""
     try:
         return encode(request)
-    except BackendFailure as exc:
+    except (BackendFailure, NonFiniteValue) as exc:
         return BackendFailure(f"qp {request.qp}: {exc}")
 
 
@@ -88,7 +94,8 @@ class EncoderBackend(abc.ABC):
 
     def encode_many(self, requests) -> list[EncodeResult | BackendFailure]:
         """Per request, in request order, its result or its BackendFailure
-        labelled with its qp: a failure does not stop the batch."""
+        labelled with its qp, an answer that breaks the point rule included:
+        a failure does not stop the batch."""
         return [_encode_labelled(self.encode, r) for r in requests]
 
 
@@ -301,8 +308,6 @@ class ProcessBackend(EncoderBackend):
         quality = doc[key]
         if not finite(quality):
             raise BackendFailure(f"stats file {stats}: {key!r} is {quality!r}, not a finite number")
-        if not rate > 0:
-            raise BackendFailure(f"invalid encode result rate={rate}")
         return EncodeResult(rate=rate, quality=float(quality),
                             artifacts={"bitstream": str(out), "stats": str(stats)})
 

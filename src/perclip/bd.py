@@ -79,16 +79,12 @@ def bd_quality(ref: RdCurve, test: RdCurve) -> BdResult:
 
 def default_anchors(ref: RdCurve, qps=DEFAULT_ANCHOR_QPS) -> list[tuple[str, float]]:
     """Anchor qualities taken from the reference curve's labelled qp points."""
-    anchors = []
-    for qp in qps:
-        q = ref.quality_at_qp(qp)
-        if q is not None:
-            anchors.append((f"qp{qp}", q))
-    return anchors
+    return [(f"qp{qp}", q) for qp in qps if (q := ref.quality_at_qp(qp)) is not None]
 
 
-def bitrate_savings(ref: RdCurve, test: RdCurve, anchors=None) -> SavingsResult:
-    """Percent rate change of test vs ref at fixed anchor qualities.
+def bitrate_savings(ref: RdCurve, test: RdCurve, anchors) -> SavingsResult:
+    """Percent rate change of test vs ref at the (label, quality) anchors,
+    such as default_anchors(ref).
 
     Each curve is cleaned to monotone quality, inverted (quality -> rate),
     and read at every anchor. Anchors outside either curve's quality range
@@ -96,8 +92,6 @@ def bitrate_savings(ref: RdCurve, test: RdCurve, anchors=None) -> SavingsResult:
     """
     ref_c = enforce_monotone(ref)
     test_c = enforce_monotone(test)
-    if anchors is None:
-        anchors = default_anchors(ref_c)
     inv_r = _inverse_fit(ref_c, transform=float)
     inv_t = _inverse_fit(test_c, transform=float)
     lo = max(inv_r.domain[0], inv_t.domain[0])

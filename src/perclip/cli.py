@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import math
 import sys
@@ -16,9 +15,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .backends import backend_from_config, from_section, known_keys
-from .bd import bd_quality, bd_rate, bitrate_savings, default_anchors
+from .bd import DEFAULT_ANCHOR_QPS, bd_quality, bd_rate, bitrate_savings, default_anchors
 from .correlation import fit_logistic5, correlate
-from .curves import RdCurve, load_curve_file, read_json
+from .curves import RdCurve, load_curve_file, read_json, write_json
 from .errors import PerclipError
 from .optimizer import OptimizationConfig, optimize_clip, EncodeCache
 from .report import render_rq_svg
@@ -29,6 +28,7 @@ from .subjective import (
     compute_dmos,
     compute_mos,
     csv_rows,
+    number,
     read_pairing_csv,
     read_scores_csv,
     recover_mle,
@@ -61,7 +61,7 @@ def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
                     config: str | None = None, **extra) -> None:
     """manifest.json in the output directory; extra holds the command's
     own run facts."""
-    doc = {
+    write_json(Path(args.out) / "manifest.json", {
         "command": command,
         "inputs": inputs,
         "config": config,
@@ -70,10 +70,7 @@ def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
         "finished": _now(),
         "exit_code": 0,
         **extra,
-    }
-    with open(Path(args.out) / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def _now() -> str:
@@ -111,30 +108,13 @@ def cmd_optimize(args) -> int:
             backend, clip, config, proxy=args.proxy, cache=cache
         )
         result_path = out / f"{clip}.result.json"
-        with open(result_path, "w") as fh:
-            json.dump(
-                {
-                    "clip": clip,
-                    "k1": ks.k1,
-                    "k2": ks.k2,
-                    "cost_bdrate_pct": trace.best[1],
-                    "iterations": trace.iterations,
-                    "encodes": trace.encode_count,
-                    "stop": trace.stop,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_json(result_path, {"clip": clip, "k1": ks.k1, "k2": ks.k2,
+                                 "cost_bdrate_pct": trace.best[1], "iterations": trace.iterations,
+                                 "encodes": trace.encode_count, "stop": trace.stop})
         trace_path = out / f"{clip}.trace.csv"
-        _write_csv(
-            trace_path,
-            ["eval_idx", "k1", "k2", "cost", "cache_hit"],
-            [
-                [i, e.ks.k1, e.ks.k2, e.cost, e.cache_hit]
-                for i, e in enumerate(trace.evaluations)
-            ],
-        )
+        _write_csv(trace_path, ["eval_idx", "k1", "k2", "cost", "cache_hit"],
+                   [[i, e.ks.k1, e.ks.k2, e.cost, e.cache_hit]
+                    for i, e in enumerate(trace.evaluations)])
         outputs += [result_path, trace_path]
         sent[clip] = {"encodes": trace.encode_count, "batches": trace.batch_count}
         print(f"{clip}: k1={ks.k1:.6g} k2={ks.k2:.6g} cost={trace.best[1]:.6g}%")
@@ -154,25 +134,26 @@ def cmd_bd(args) -> int:
     if args.anchors:
         texts = args.anchors.split(",")
         for i, text in enumerate(texts):
-            if not math.isfinite(_number(text)):
+            if not math.isfinite(number(text)):
                 raise ValueError(f"--anchors: {text!r} is not a finite number")
-            if _number(text) in map(_number, texts[:i]):
+            if number(text) in map(number, texts[:i]):
                 raise ValueError(f"--anchors: {text!r} repeats an earlier anchor")
         anchors = [(f"q{text}", float(text)) for text in texts]
     else:
-        anchors = default_anchors(ref) or None
+        anchors = default_anchors(ref)
+        if not anchors:
+            raise ValueError(f"{args.ref}: no point labelled qp "
+                             f"{'/'.join(map(str, DEFAULT_ANCHOR_QPS))}; give --anchors")
     savings = bitrate_savings(ref, test, anchors=anchors)
     for label in savings.skipped:
         print(f"warning: anchor {label} outside the common quality range", file=sys.stderr)
-    header = ["clip", "metric", "bd_rate_pct", "bd_quality", "savings_mean_pct"]
-    row: list = [clip, ref.metric_id, rate_res.value, qual_res.value, savings.mean]
-    for label, value in savings.per_anchor:
-        header.append(f"savings_{label}_pct")
-        row.append(value)
+    header = ["clip", "metric", "bd_rate_pct", "bd_quality", "savings_mean_pct",
+              *(f"savings_{label}_pct" for label, _ in savings.per_anchor)]
+    row = [clip, ref.metric_id, rate_res.value, qual_res.value, savings.mean,
+           *(value for _, value in savings.per_anchor)]
     path = out / "bd.csv"
     _write_csv(path, header, [row])
-    with open(path) as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write(path.read_text())
     _write_manifest(args, "bd", [args.ref, args.test], [path])
     return 0
 
@@ -256,18 +237,10 @@ def _read_table(path) -> tuple[dict[str, int], dict[str, list]]:
     return columns, by_id
 
 
-def _number(text) -> float:
-    """float(text), or NaN when text is missing or not a number."""
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        return math.nan
-
-
 def _floats(path, columns: dict[str, int], rows: list[list], name: str) -> list[float]:
     """One column as finite floats; a bad cell names the file, column and pvs_id."""
     i, k = columns[name], columns["pvs_id"]
-    values = [_number(r[i]) for r in rows]
+    values = [number(r[i]) for r in rows]
     for r, value in zip(rows, values):
         if not math.isfinite(value):
             raise ValueError(f"{path}: column {name}: bad value {r[i]!r} for {r[k]!r}")
@@ -398,7 +371,7 @@ def main(argv=None) -> int:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         args.started = _now()
         return args.func(args)
-    except (PerclipError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (PerclipError, OSError, ValueError, KeyError) as exc:  # a JSON error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

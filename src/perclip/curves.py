@@ -35,12 +35,20 @@ def finite(value, above: float = -math.inf) -> bool:
         return False
 
 
+def check_point(rate, quality) -> None:
+    """RdPoint's and EncodeResult's rule: rate finite and > 0, quality finite."""
+    if not finite(rate, above=0):
+        raise NonFiniteValue(f"rate must be positive and finite, got {rate!r}")
+    if not finite(quality):
+        raise NonFiniteValue(f"quality must be finite, got {quality!r}")
+
+
 @dataclass(frozen=True)
 class RdPoint:
     """One operating point: rate in kilobits per second, quality in metric
     units, the integer qp that produced it if known, and the half-width of
-    the quality's 95 % confidence interval (0 when unknown). Rate (> 0),
-    quality and ci95 (>= 0) must pass finite and are kept as floats."""
+    the quality's 95 % confidence interval (0 when unknown). Rate, quality
+    (check_point) and ci95 (>= 0) must pass finite and are kept as floats."""
 
     rate: float
     quality: float
@@ -48,10 +56,7 @@ class RdPoint:
     ci95: float = 0.0
 
     def __post_init__(self) -> None:
-        if not finite(self.rate, above=0):
-            raise NonFiniteValue(f"rate must be positive and finite, got {self.rate!r}")
-        if not finite(self.quality):
-            raise NonFiniteValue(f"quality must be finite, got {self.quality!r}")
+        check_point(self.rate, self.quality)
         if not (finite(self.ci95) and self.ci95 >= 0):
             raise NonFiniteValue(f"ci95 must be finite and >= 0, got {self.ci95!r}")
         if self.qp is not None and type(self.qp) is not int:  # 27.0 or true is no qp
@@ -229,7 +234,7 @@ def pchip_fit(xs, ys) -> PchipInterpolant:
         m[0] = _edge_slope(h[0], h[1], d[0], d[1])
         m[-1] = _edge_slope(h[-1], h[-2], d[-1], d[-2])
     if not all(map(math.isfinite, d + m)):
-        raise NonFiniteValue(f"knots {xs} too close: a secant or slope is not finite")
+        raise NonFiniteValue(f"a secant or slope is not finite for knots {xs} with values {ys}")
     return PchipInterpolant(xs=tuple(xs), ys=tuple(ys), slopes=tuple(m))
 
 
@@ -311,6 +316,13 @@ def read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def write_json(path, doc) -> None:
+    """Write doc to the file at path as JSON indented by 2, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def write_curve_json(curve: RdCurve, path, clip: str | None = None,
                      variant: str | None = None) -> None:
     """Write curve in load_curve_file's format. A point's qp and a non-zero
@@ -329,6 +341,4 @@ def write_curve_json(curve: RdCurve, path, clip: str | None = None,
             entry["ci95"] = p.ci95
         pts.append(entry)
     doc["points"] = pts
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)

@@ -26,7 +26,7 @@ from pathlib import Path
 from .backends import (EncodeRequest, EncodeResult, EncoderBackend, LambdaMultipliers,
                        build_rd_curve, check_qps, curve_requests)
 from .bd import bd_rate
-from .curves import RdCurve, RdPoint, finite, read_json
+from .curves import RdCurve, finite, read_json
 from .errors import BackendFailure, NoOverlap, NonAscendingAbscissae, TooFewPoints
 from .powell import powell_box_minimize
 
@@ -40,6 +40,9 @@ DEFAULT_QPS = (27, 39, 49, 59, 63)
 # taking the rate from a whole number of bytes over an 8 s clip adds noise of
 # up to 3e-5. A finer resolution only spends encodes on that noise.
 K_RESOLUTION = 1e-3
+
+# what bd_rate raises for curves it cannot compare
+NOT_COMPARABLE = (NoOverlap, TooFewPoints, NonAscendingAbscissae)
 
 # Cost resolution of BD-rate searches in pct-points: the search stops once its
 # model's error at its latest point and its best gain over the box are below
@@ -94,7 +97,7 @@ class EncodeCache:
     k values are rounded to 1e-6 for the key, also in rows loaded from a
     file. Persistable to JSON so a repeated run issues zero encodes; a file
     row is the key's six fields followed by rate and quality, checked on
-    load by building its EncodeRequest and an RdPoint of rate and quality.
+    load by building its EncodeRequest and EncodeResult.
     """
 
     def __init__(self) -> None:
@@ -153,10 +156,9 @@ class EncodeCache:
             clip, settings, metric_id, qp, k1, k2, rate, quality = row
             try:
                 request = EncodeRequest(clip, qp, LambdaMultipliers(k1, k2), settings, metric_id)
-                RdPoint(rate, quality)
+                entries[self.key(request)] = EncodeResult(rate, quality)
             except ValueError as exc:
                 raise ValueError(f"{path}: cache row {row!r} is not valid: {exc}") from None
-            entries[self.key(request)] = EncodeResult(rate, quality)
         with self._lock:
             self._data.update(entries)
 
@@ -210,20 +212,20 @@ def evaluate_cost(
 ) -> float:
     """BD-rate (percent) of the candidate curve at ks against the baseline.
 
-    Negative is an improvement. A candidate whose curve cannot be compared
-    (no quality overlap, or too few points after cleanup) costs +inf so the
-    surrounding search can continue.
+    Negative is an improvement. A candidate whose encode failed, or whose
+    curve cannot be compared (no quality overlap, or too few points after
+    cleanup), costs +inf so the surrounding search can continue.
     """
     k_min, k_max = config.bounds
     if not (k_min <= ks.k1 <= k_max and k_min <= ks.k2 <= k_max):
         raise ValueError(f"ks {ks} outside bounds {config.bounds}")
-    candidate = build_rd_curve(
-        backend, clip, ks, config.qps, settings=settings, metric_id=config.metric_id
-    )
     try:
+        candidate = build_rd_curve(
+            backend, clip, ks, config.qps, settings=settings, metric_id=config.metric_id
+        )
         return bd_rate(baseline, candidate, clean=True).value
-    except (NoOverlap, TooFewPoints, NonAscendingAbscissae) as exc:
-        log.warning("cost at (%.4f, %.4f) not comparable (%s); using +inf", ks.k1, ks.k2, exc)
+    except (BackendFailure, *NOT_COMPARABLE) as exc:
+        log.warning("cost at (%.4f, %.4f) is +inf: %s", ks.k1, ks.k2, exc)
         return math.inf
 
 
@@ -256,7 +258,7 @@ def optimize_clip(
     )
     try:
         bd_rate(baseline, baseline)
-    except (NoOverlap, TooFewPoints, NonAscendingAbscissae) as exc:
+    except NOT_COMPARABLE as exc:
         raise type(exc)(
             f"clip {clip!r}: baseline curve not comparable with itself ({exc})") from exc
     evaluations: list[CostEvaluation] = []
@@ -265,18 +267,16 @@ def optimize_clip(
         """The cost at each of xs, in order, each appended to evaluations.
         The encodes of all of xs that miss the cache go to the backend
         first, as one batch; a point is a cache hit when none of its
-        requests was sent, and a failed point is never one."""
+        requests was sent and none of its answers is a failure."""
         n = len(config.qps)
-        sent = enc.fetch([r for x in xs for r in curve_requests(
-            clip, _ks(x), config.qps, settings, config.metric_id)])[1]
+        answers, sent = enc.fetch([r for x in xs for r in curve_requests(
+            clip, _ks(x), config.qps, settings, config.metric_id)])
         for i, x in enumerate(xs):
             ks = _ks(x)
-            try:
-                cost = float(evaluate_cost(enc, clip, ks, baseline, config, settings=settings))
-                hit = not any(sent[i * n:(i + 1) * n])
-            except BackendFailure as exc:  # also when the failure was remembered, not re-sent
-                log.warning("encode failed at (%.4f, %.4f): %s; using +inf", ks.k1, ks.k2, exc)
-                cost, hit = math.inf, False
+            cost = float(evaluate_cost(enc, clip, ks, baseline, config, settings=settings))
+            own = slice(i * n, (i + 1) * n)
+            hit = not any(sent[own]) and not any(
+                isinstance(a, BackendFailure) for a in answers[own])
             evaluations.append(CostEvaluation(ks=ks, cost=cost, cache_hit=hit))
         return [e.cost for e in evaluations[-len(xs):]]
 

@@ -16,7 +16,9 @@ Every CSV input goes through csv_rows. Score ingestion is columnar: one
 pass appends the subject ids, the stimulus ids and the score cells to one
 list each, optional columns likewise; the scores convert in one np.fromiter
 call and pass one vectorised range check. Only when it fails are the rows
-walked again, to name the first offending line. build_score_matrix scatters
+walked again, to find the first offending row, and the file read again up
+to it, to name its line: an error names the line in the file, blank lines
+counted, as csv and UTF-8 errors do. build_score_matrix scatters
 the scores in bulk and runs np.unique only to name a repeated pair.
 """
 
@@ -35,6 +37,7 @@ from .errors import MissingPair, NonConvergence, TooFewRaters
 NU_FLOOR = 0.1  # keeps 1/nu^2 finite for perfectly consistent subjects
 TOL = 1e-8  # recover_mle stops when no parameter moves more than this in a sweep
 MAX_SWEEPS = 10_000
+CSV_ENCODING = "utf-8-sig"  # UTF-8, a leading byte-order mark dropped
 
 
 @dataclass(frozen=True)
@@ -292,7 +295,7 @@ def csv_rows(path, required):
     """Yield (columns, rows) of the CSV file at path: each header name's index
     and the non-blank rows, which may stop short of the header. The header must
     hold every required name and repeat none; csv and UTF-8 errors name the line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -312,11 +315,33 @@ def csv_rows(path, required):
             raise ValueError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from None
 
 
+def _row_error(path, index: int, problem: str) -> ValueError:
+    """A ValueError naming problem and the line on which the CSV file's
+    index-th non-blank row after the header starts; it reads the file again."""
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        start = reader.line_num + 1
+        for rec in reader:
+            if rec and (index := index - 1) < 0:
+                break
+            start = reader.line_num + 1
+    return ValueError(f"{path}: line {start}: {problem}")
+
+
+def number(text) -> float:
+    """float(text), or NaN when text is missing or not a number."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def read_scores_csv(path) -> ScoreTable:
     """Read rows of subject_id,pvs_id,score plus optional metadata columns
     (clip, qp, variant, role, cohort...), kept as strings in ScoreTable.meta;
     a short row's missing cells read as None. A score that is not a finite number
-    in [0, 100] or an empty id is a ValueError naming the line, blank lines uncounted."""
+    in [0, 100] or an empty id is a ValueError naming its line in the file."""
     required = ("subject_id", "pvs_id", "score")
     with csv_rows(path, required) as (columns, rows):
         i_subject, i_pvs, i_score = (columns[name] for name in required)
@@ -350,17 +375,14 @@ def read_scores_csv(path) -> ScoreTable:
 def _raise_first_bad_line(path, subjects, pvs, raw) -> None:
     """Walk the rows in file order and raise for the first offending one; on
     a line with both a bad score and an empty id, the score is named."""
-    for lineno, (subject, pvs_id, cell) in enumerate(zip(subjects, pvs, raw), start=2):
-        try:
-            score = float(cell)
-        except (TypeError, ValueError):
-            score = math.nan
+    for k, (subject, pvs_id, cell) in enumerate(zip(subjects, pvs, raw)):
+        score = number(cell)
         if not math.isfinite(score):
-            raise ValueError(f"{path}: line {lineno}: bad score {cell!r}")
+            raise _row_error(path, k, f"bad score {cell!r}")
         if not 0.0 <= score <= 100.0:
-            raise ValueError(f"{path}: line {lineno}: score {cell!r} outside [0, 100]")
+            raise _row_error(path, k, f"score {cell!r} outside [0, 100]")
         if not (subject and pvs_id):
-            raise ValueError(f"{path}: line {lineno}: empty subject_id or pvs_id")
+            raise _row_error(path, k, "empty subject_id or pvs_id")
     raise AssertionError("no offending line found")
 
 
@@ -405,16 +427,16 @@ def subject_cohorts(table: ScoreTable, column: str) -> dict[str, str]:
 
 def read_pairing_csv(path) -> dict[str, str]:
     """Read dist_pvs_id,src_pvs_id rows into a pairing map; each distorted
-    stimulus is paired once."""
+    stimulus is paired once, and a bad row is a ValueError naming its line."""
     pairing: dict[str, str] = {}
     with csv_rows(path, ("dist_pvs_id", "src_pvs_id")) as (columns, rows):
         i_dist, i_src, pad = columns["dist_pvs_id"], columns["src_pvs_id"], [None] * len(columns)
-        for lineno, rec in enumerate(rows, start=2):
+        for k, rec in enumerate(rows):
             rec += pad[len(rec):]
             dist, src = rec[i_dist], rec[i_src]
             if not dist or not src:
-                raise ValueError(f"{path}: line {lineno}: empty pairing entry")
+                raise _row_error(path, k, "empty pairing entry")
             if dist in pairing:
-                raise ValueError(f"{path}: line {lineno}: duplicate dist_pvs_id {dist!r}")
+                raise _row_error(path, k, f"duplicate dist_pvs_id {dist!r}")
             pairing[dist] = src
     return pairing

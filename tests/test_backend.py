@@ -338,6 +338,19 @@ class TestProcessBackend:
         with pytest.raises(BackendFailure, match="no output"):
             backend.encode(req(27, clip="c"))
 
+    def test_empty_output_is_a_failure_naming_the_rate(self, tmp_path):
+        write_script(tmp_path / "enc.sh", FAKE_ENCODER.format(size=0))
+        write_script(tmp_path / "met.sh", FAKE_METRIC.format(payload='{"ms_ssim": 18}'))
+        backend = ProcessBackend(
+            encode_template=f"{tmp_path / 'enc.sh'} {{input}} {{output}}",
+            metric_template=f"{tmp_path / 'met.sh'} {{output}} {{stats}}",
+            clip_durations={"c": 5.0},
+            workdir=str(tmp_path),
+        )
+        [res] = backend.encode_many([req(27, clip="c")])
+        assert isinstance(res, BackendFailure)
+        assert str(res) == "qp 27: rate must be positive and finite, got 0.0"
+
     def test_nonzero_exit_is_failure(self, tmp_path):
         enc = tmp_path / "enc.sh"
         write_script(enc, "#!/bin/sh\necho boom >&2\nexit 3\n")

@@ -249,6 +249,16 @@ class TestOptimizeCommand:
         second = json.loads((tmp_path / "b" / "meadow.result.json").read_text())
         assert second["encodes"] == 0
 
+    def test_candidate_with_a_negative_rate_costs_inf_and_is_not_cached(self, tmp_path):
+        # a steep bowl drives the rate of most candidates below 0; such an
+        # answer used to be cached, then end the run at the first probe
+        cfg, cache = tmp_path / "cfg.json", tmp_path / "cache.json"
+        cfg.write_text(json.dumps({"backend": {"kind": "synthetic", "model": {"gamma": 1000.0}}}))
+        argv = ["optimize", "meadow", "--config", cfg, "--cache", cache]
+        assert run_quietly("--out", tmp_path / "a", *argv)[0] == 0
+        assert "inf" in {row["cost"] for row in read_rows(tmp_path / "a" / "meadow.trace.csv")}
+        assert run_quietly("--out", tmp_path / "b", *argv)[0] == 0  # the cache loads again
+
     def test_cache_without_metric_field_exits_1(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
         cache.write_text(json.dumps([["meadow", "native", 27, 1.0, 1.0, 100.0, 18.0]]))
@@ -618,6 +628,31 @@ class TestBdCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "not finite" in err
 
+    def test_quality_too_large_for_a_finite_secant_exits_1_naming_it(self, tmp_path, capsys):
+        # the error used to blame the spacing of well-spaced knots
+        ref = write_curve_variant(tmp_path / "ref.json",
+                                  lambda doc: doc["points"][1].update(quality=1e308))
+        code = run("--out", tmp_path, "bd", ref, DATA / "curves" / "meadow__tuned.curve.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: a secant or slope is not finite for knots [")
+        assert "with values [51.119, 1e+308, 70.614, 81.893]" in err
+        assert "too close" not in err
+
+    def test_reference_without_default_anchors_exits_1_naming_it_and_the_option(
+            self, tmp_path, capsys):
+        # used to report every anchor outside the common quality range
+        # when the reference labelled none of qp 27, 39 and 59
+        ref = write_curve_variant(tmp_path / "ref.json",
+                                  lambda doc: [point.pop("qp") for point in doc["points"]])
+        tuned = DATA / "curves" / "meadow__tuned.curve.json"
+        code = run("--out", tmp_path, "bd", ref, tuned)
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {ref}: no point labelled qp 27/39/59; "
+                                           "give --anchors\n")
+        assert run("--out", tmp_path, "bd", ref, tuned, "--anchors", "60") == 0
+
     def test_disjoint_quality_ranges_exit_1(self, tmp_path, capsys):
         a = {"metric": "mos", "points": [
             {"rate_kbps": 100, "quality": 10}, {"rate_kbps": 200, "quality": 20}]}
@@ -715,7 +750,7 @@ class TestScoresCommand:
         code = run("--out", tmp_path, "scores", bad)
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: {bad}: line 3: score {value!r} outside [0, 100]\n"
+        assert err == f"error: {bad}: line 4: score {value!r} outside [0, 100]\n"
 
     def test_repeated_pairing_exits_1_naming_file_and_line(self, tmp_path, capsys):
         pairing = tmp_path / "pairing.csv"
@@ -951,6 +986,26 @@ class TestCsvInputs:
         data = edit_csv(self.INPUTS[which], "utf8", 20, 0, "")
         code, err, path = self.run_on(tmp_path, which, data)
         assert (code, err) == (1, f"error: {path}: line 22: not UTF-8 (invalid start byte)\n")
+
+    @pytest.mark.parametrize("which", list(INPUTS))
+    def test_byte_order_mark_is_no_part_of_the_header(self, tmp_path, which):
+        # a file saved with a byte-order mark used to lack its first column
+        data = self.INPUTS[which].read_bytes()
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            assert self.run_on(tmp_path / name, which, prefix + data)[:2] == (0, "")
+        plain, bom = (sorted((tmp_path / name / "out").glob("*.csv")) for name in ("plain", "bom"))
+        assert [p.name for p in bom] == [p.name for p in plain] and plain
+        assert [p.read_bytes() for p in bom] == [p.read_bytes() for p in plain]
+
+    @pytest.mark.parametrize("which, text, message", [
+        ("scores", "subject_id,pvs_id,score\n\ns1,a,oops\n", "line 3: bad score 'oops'"),
+        ("pairing", "dist_pvs_id,src_pvs_id\n\nd1,s1\nx,\n", "line 4: empty pairing entry"),
+    ])
+    def test_bad_value_names_its_line_in_the_file(self, tmp_path, which, text, message):
+        # blank lines used to go uncounted, unlike in csv and UTF-8 errors
+        code, err, path = self.run_on(tmp_path, which, text.encode())
+        assert (code, err) == (1, f"error: {path}: {message}\n")
 
     @settings(max_examples=60, deadline=None)
     @given(which=st.sampled_from(["scores", "pairing"]),

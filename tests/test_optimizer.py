@@ -71,6 +71,28 @@ def seeded_models(seed: int, count: int) -> list[SyntheticModel]:
     return models
 
 
+class FailsOneQp(SyntheticBackend):
+    """Counts its encodes and keeps the cache keys of their requests; qp
+    bad_qp fails whenever k1 > 1.2, by raising a BackendFailure or, given
+    bad, by answering with bad's fields in place of its own."""
+
+    def __init__(self, bad_qp, bad=None):
+        super().__init__()
+        self.bad_qp, self.bad = bad_qp, bad
+        self.calls = 0
+        self.keys = set()
+
+    def encode(self, request):
+        self.calls += 1
+        self.keys.add(EncodeCache.key(request))
+        res = super().encode(request)
+        if request.qp == self.bad_qp and request.ks.k1 > 1.2:
+            if self.bad is None:
+                raise BackendFailure("simulated crash")
+            return dataclasses.replace(res, **self.bad)
+        return res
+
+
 @pytest.fixture
 def backend():
     return SyntheticBackend()
@@ -116,6 +138,13 @@ class TestEvaluateCost:
         cost = evaluate_cost(
             Disjoint(), "clip", LambdaMultipliers(1.0, 1.0), baseline, config
         )
+        assert math.isinf(cost) and cost > 0
+
+    @pytest.mark.parametrize("bad", [None, {"rate": 0.0}], ids=["raised", "rate-0"])
+    def test_failed_encode_maps_to_inf(self, baseline, bad):
+        # a BackendFailure used to escape evaluate_cost for the caller to map
+        cost = evaluate_cost(FailsOneQp(49, bad), "clip", LambdaMultipliers(1.25, 1.0),
+                             baseline, OptimizationConfig())
         assert math.isinf(cost) and cost > 0
 
 
@@ -384,7 +413,7 @@ class TestOptimizeClip:
                 return super().get(request)
 
         cache = CountsGets()
-        backend = SyntheticBackend() if bad_qp is None else self.FailsOneQp(bad_qp)
+        backend = SyntheticBackend() if bad_qp is None else FailsOneQp(bad_qp)
         for _ in range(2):  # cold, then on the filled cache
             cache.gets.clear()
             optimize_clip(backend, "clip", cache=cache)
@@ -543,25 +572,8 @@ class TestOptimizeClip:
         assert math.isfinite(trace.best[1])
         assert any(math.isinf(e.cost) for e in trace.evaluations) or ks.k1 <= 3.0
 
-    class FailsOneQp(SyntheticBackend):
-        """Counts its encodes and keeps the cache keys of their requests;
-        qp bad_qp fails whenever k1 > 1.2."""
-
-        def __init__(self, bad_qp):
-            super().__init__()
-            self.bad_qp = bad_qp
-            self.calls = 0
-            self.keys = set()
-
-        def encode(self, request):
-            self.calls += 1
-            self.keys.add(EncodeCache.key(request))
-            if request.qp == self.bad_qp and request.ks.k1 > 1.2:
-                raise BackendFailure("simulated crash")
-            return super().encode(request)
-
     def test_failed_batch_counts_its_encodes(self):
-        backend = self.FailsOneQp(63)  # the last qp of each batch
+        backend = FailsOneQp(63)  # the last qp of each batch
         _, trace = optimize_clip(backend, "clip")
         failed = [e for e in trace.evaluations if math.isinf(e.cost)]
         assert failed
@@ -571,19 +583,32 @@ class TestOptimizeClip:
     def test_batch_failing_at_its_first_qp_still_encodes_the_rest(self):
         # the serial encode_many attempts every request before it raises,
         # as ProcessBackend does, so every miss counted as issued was run
-        backend = self.FailsOneQp(27)
+        backend = FailsOneQp(27)
         _, trace = optimize_clip(backend, "clip")
         assert any(math.isinf(e.cost) for e in trace.evaluations)
         assert trace.encode_count == backend.calls
 
     def test_failed_probe_costs_only_its_own_point(self):
-        backend = self.FailsOneQp(63)  # the probe (1.25, 1) fails at qp 63
+        self.assert_probe_failure_costs_only_its_own_point(FailsOneQp(63))
+
+    @pytest.mark.parametrize("bad", [{"rate": 0.0}, {"quality": math.nan}],
+                             ids=["rate-0", "quality-nan"])
+    def test_answer_breaking_the_point_rule_costs_only_its_own_point(self, bad):
+        # such an answer used to be cached, then end the search as a
+        # NonFiniteValue when build_rd_curve made a point of it
+        self.assert_probe_failure_costs_only_its_own_point(FailsOneQp(63, bad))
+
+    @staticmethod
+    def assert_probe_failure_costs_only_its_own_point(backend):
+        """The probe (1.25, 1), failing at qp 63, costs +inf and is no cache
+        hit; its qp-63 request is neither cached nor sent again."""
         cache = EncodeCache()
         _, trace = optimize_clip(backend, "clip", cache=cache)
         probes = trace.evaluations[1:5]
         assert [(e.ks.k1, e.ks.k2) for e in probes] == list(AXIS_PROBES)
         assert [math.isinf(e.cost) for e in probes] == [True, False, False, False]
         assert not any(e.cache_hit for e in probes)
+        assert not any(e.cache_hit for e in trace.evaluations if math.isinf(e.cost))
         failed = LambdaMultipliers(*AXIS_PROBES[0])
         assert [cache.get(EncodeRequest(clip="clip", qp=qp, ks=failed)) is not None
                 for qp in QPS] == [True] * (len(QPS) - 1) + [False]

@@ -57,7 +57,10 @@ def rowwise_read_scores_csv(path) -> list[tuple]:
         columns = {name: i for i, name in enumerate(header)}
         i_subject, i_pvs, i_score = (columns[name] for name in required)
         optional = [(name, i) for name, i in columns.items() if name not in required]
-        for lineno, rec in enumerate(filter(None, reader), start=2):
+        for rec in reader:
+            if not rec:
+                continue
+            lineno = reader.line_num  # each row here is one line
             if len(rec) < len(header):
                 rec += [None] * (len(header) - len(rec))
             try:
@@ -656,8 +659,8 @@ class TestCsvIngestion:
             read_scores_csv(path)
 
     @pytest.mark.parametrize("score, message", [
-        ("oops", "line 3: bad score 'oops'"),
-        ("101", r"line 3: score '101' outside \[0, 100\]"),
+        ("oops", "line 4: bad score 'oops'"),
+        ("101", r"line 4: score '101' outside \[0, 100\]"),
     ])
     def test_first_offending_line_wins_and_score_before_empty_id(self, tmp_path, score,
                                                                  message):
@@ -740,7 +743,7 @@ class TestCsvIngestion:
     def test_pairing_short_row_rejected_naming_line(self, tmp_path):
         path = tmp_path / "pairing.csv"
         path.write_text("dist_pvs_id,src_pvs_id\ndist_a,src_a\n\ndist_b\n")
-        with pytest.raises(ValueError, match=r"pairing.csv: line 3: empty pairing entry"):
+        with pytest.raises(ValueError, match=r"pairing.csv: line 4: empty pairing entry"):
             read_pairing_csv(path)
 
     def test_pairing_round_trip(self, tmp_path):
