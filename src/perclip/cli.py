@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import json
 import logging
 import math
 import sys
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from .subjective import (
     read_pairing_csv,
     read_scores_csv,
     recover_mle,
+    row_error,
     subject_cohorts,
 )
 
@@ -45,36 +49,42 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([fmt(v) for v in row] for row in rows)
-
-
-def _write_table(path: Path, column: str, table: MosTable) -> None:
-    _write_csv(path, ["pvs_id", column, "ci95", "n"], zip(
-        table.stimuli, table.mos.tolist(), table.ci95.tolist(), table.n.tolist()))
-
-
-def _write_manifest(args, command: str, inputs: list[str], outputs: list[Path],
-                    config: str | None = None, **extra) -> None:
-    """manifest.json in the output directory; extra holds the command's
-    own run facts."""
-    write_json(Path(args.out) / "manifest.json", {
-        "command": command,
-        "inputs": inputs,
-        "config": config,
-        "outputs": [str(p) for p in outputs],
-        "started": args.started,
-        "finished": _now(),
-        "exit_code": 0,
-        **extra,
-    })
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+@dataclass
+class Run:
+    """One command's account of itself for manifest.json: what it read, the
+    config it ran with, the files it wrote under out and its own facts. Each
+    writer puts one named file under out and lists it once the write is done,
+    so outputs names only files that were written."""
+
+    out: Path
+    inputs: list[str] = field(default_factory=list)
+    config: str | None = None
+    outputs: list[Path] = field(default_factory=list)
+    facts: dict = field(default_factory=dict)
+    started: str = field(default_factory=_now)
+
+    def text(self, name: str, text: str) -> str:
+        (self.out / name).write_text(text)
+        self.outputs.append(self.out / name)
+        return text
+
+    def json(self, name: str, doc) -> str:
+        return self.text(name, json.dumps(doc, indent=2) + "\n")
+
+    def csv(self, name: str, header: list[str], rows) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)
+        return self.text(name, buf.getvalue())
+
+    def table(self, name: str, column: str, table: MosTable) -> str:
+        return self.csv(name, ["pvs_id", column, "ci95", "n"], zip(
+            table.stimuli, table.mos.tolist(), table.ci95.tolist(), table.n.tolist()))
 
 
 def _bare_name(clip: str, prefix: str = "") -> str:
@@ -87,8 +97,8 @@ def _bare_name(clip: str, prefix: str = "") -> str:
     return clip
 
 
-def cmd_optimize(args) -> int:
-    out = Path(args.out)
+def cmd_optimize(args, run: Run) -> None:
+    run.inputs, run.config = list(args.clips), args.config
     for clip in args.clips:
         _bare_name(clip)
     cfg = known_keys(read_json(args.config), args.config, {"backend", "optimizer"})
@@ -96,36 +106,29 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"{args.config}: missing section 'backend'")
     backend = backend_from_config(cfg["backend"])
     config = from_section(OptimizationConfig, cfg.get("optimizer", {}), "optimizer")
-    cache = None
-    if args.cache:
-        cache = EncodeCache()
-        if Path(args.cache).exists():
-            cache.load(args.cache)
-    outputs: list[Path] = []
-    sent: dict[str, dict[str, int]] = {}  # per clip: encodes and backend batches
-    for clip in args.clips:
-        ks, trace = optimize_clip(
-            backend, clip, config, proxy=args.proxy, cache=cache
-        )
-        result_path = out / f"{clip}.result.json"
-        write_json(result_path, {"clip": clip, "k1": ks.k1, "k2": ks.k2,
-                                 "cost_bdrate_pct": trace.best[1], "iterations": trace.iterations,
-                                 "encodes": trace.encode_count, "stop": trace.stop})
-        trace_path = out / f"{clip}.trace.csv"
-        _write_csv(trace_path, ["eval_idx", "k1", "k2", "cost", "cache_hit"],
-                   [[i, e.ks.k1, e.ks.k2, e.cost, e.cache_hit]
-                    for i, e in enumerate(trace.evaluations)])
-        outputs += [result_path, trace_path]
-        sent[clip] = {"encodes": trace.encode_count, "batches": trace.batch_count}
-        print(f"{clip}: k1={ks.k1:.6g} k2={ks.k2:.6g} cost={trace.best[1]:.6g}%")
-    if args.cache:
-        cache.save(args.cache)
-    _write_manifest(args, "optimize", list(args.clips), outputs, args.config, clips=sent)
-    return 0
+    cache = EncodeCache() if args.cache else None
+    if args.cache and Path(args.cache).exists():
+        cache.load(args.cache)
+    sent = run.facts["clips"] = {}  # per clip: encodes and backend batches
+    try:  # a failed or interrupted clip keeps the finished encodes in the cache
+        for clip in args.clips:
+            ks, trace = optimize_clip(backend, clip, config, proxy=args.proxy, cache=cache)
+            run.json(f"{clip}.result.json", {
+                "clip": clip, "k1": ks.k1, "k2": ks.k2, "cost_bdrate_pct": trace.best[1],
+                "iterations": trace.iterations, "encodes": trace.encode_count,
+                "stop": trace.stop})
+            run.csv(f"{clip}.trace.csv", ["eval_idx", "k1", "k2", "cost", "cache_hit"],
+                    [[i, e.ks.k1, e.ks.k2, e.cost, e.cache_hit]
+                     for i, e in enumerate(trace.evaluations)])
+            sent[clip] = {"encodes": trace.encode_count, "batches": trace.batch_count}
+            print(f"{clip}: k1={ks.k1:.6g} k2={ks.k2:.6g} cost={trace.best[1]:.6g}%")
+    finally:
+        if cache is not None:
+            cache.save(args.cache)
 
 
-def cmd_bd(args) -> int:
-    out = Path(args.out)
+def cmd_bd(args, run: Run) -> None:
+    run.inputs = [args.ref, args.test]
     ref, ref_meta = load_curve_file(args.ref)
     test, _ = load_curve_file(args.test)
     clip = ref_meta["clip"]
@@ -151,21 +154,16 @@ def cmd_bd(args) -> int:
               *(f"savings_{label}_pct" for label, _ in savings.per_anchor)]
     row = [clip, ref.metric_id, rate_res.value, qual_res.value, savings.mean,
            *(value for _, value in savings.per_anchor)]
-    path = out / "bd.csv"
-    _write_csv(path, header, [row])
-    sys.stdout.write(path.read_text())
-    _write_manifest(args, "bd", [args.ref, args.test], [path])
-    return 0
+    sys.stdout.write(run.csv("bd.csv", header, [row]))
 
 
-def cmd_scores(args) -> int:
-    out = Path(args.out)
+def cmd_scores(args, run: Run) -> None:
+    run.inputs = [args.scores] + ([args.pairing] if args.pairing else [])
     if args.dmos_from == "recovered" and not args.recover:
         raise ValueError("--dmos-from recovered requires --recover")
     table = read_scores_csv(args.scores)
     matrix = build_score_matrix(table)
     pairing = read_pairing_csv(args.pairing) if args.pairing else None
-    outputs: list[Path] = []
 
     cohorts: dict[str, list[str]] = {"": list(matrix.subjects)}
     if args.cohort:
@@ -175,17 +173,10 @@ def cmd_scores(args) -> int:
 
     if args.screen:
         screening = bt500_screen(matrix)
-        path = out / "screening.csv"
-        _write_csv(
-            path,
-            ["subject_id", "p", "q", "n_scored", "outlier_ratio", "asymmetry", "rejected"],
-            [
-                [s, r.p, r.q, r.n_scored, r.outlier_ratio, r.asymmetry,
-                 s in screening.rejected]
-                for s, r in screening.per_subject.items()
-            ],
-        )
-        outputs.append(path)
+        run.csv("screening.csv",
+                ["subject_id", "p", "q", "n_scored", "outlier_ratio", "asymmetry", "rejected"],
+                [[s, r.p, r.q, r.n_scored, r.outlier_ratio, r.asymmetry, s in screening.rejected]
+                 for s, r in screening.per_subject.items()])
         if screening.rejected:
             print("rejected: " + ",".join(screening.rejected))
             matrix = matrix.subset_subjects(
@@ -198,85 +189,73 @@ def cmd_scores(args) -> int:
         suffix = f".{label}" if label else ""
         sub = matrix if label == "" else matrix.subset_subjects(subjects)
         mos = compute_mos(sub)
-        path = out / f"mos{suffix}.csv"
-        _write_table(path, "mos", mos)
-        outputs.append(path)
+        run.table(f"mos{suffix}.csv", "mos", mos)
 
         if args.recover:
             model = recover_mle(sub)
-            path = out / f"psi{suffix}.csv"
-            _write_csv(path, ["pvs_id", "psi", "ci95"],
-                       zip(model.stimuli, model.psi.tolist(), model.ci95.tolist()))
-            outputs.append(path)
-            path = out / f"subjects{suffix}.csv"
-            _write_csv(path, ["subject_id", "delta", "nu"],
-                       zip(model.subjects, model.delta.tolist(), model.nu.tolist()))
-            outputs.append(path)
+            run.csv(f"psi{suffix}.csv", ["pvs_id", "psi", "ci95"],
+                    zip(model.stimuli, model.psi.tolist(), model.ci95.tolist()))
+            run.csv(f"subjects{suffix}.csv", ["subject_id", "delta", "nu"],
+                    zip(model.subjects, model.delta.tolist(), model.nu.tolist()))
 
         if pairing is not None:
             base = mos
             if args.dmos_from == "recovered":
                 base = MosTable(model.stimuli, model.psi, model.ci95, mos.n)
-            path = out / f"dmos{suffix}.csv"
-            _write_table(path, "dmos", compute_dmos(base, pairing))
-            outputs.append(path)
-
-    inputs = [args.scores] + ([args.pairing] if args.pairing else [])
-    _write_manifest(args, "scores", inputs, outputs)
-    return 0
+            run.table(f"dmos{suffix}.csv", "dmos", compute_dmos(base, pairing))
 
 
 def _read_table(path) -> tuple[dict[str, int], dict[str, list]]:
-    """Column indices and rows by pvs_id of a CSV; a repeated pvs_id names the file."""
+    """Column indices and rows by pvs_id of a CSV; a repeated pvs_id names the
+    file and its line."""
     with csv_rows(path, ("pvs_id",)) as (columns, rows):
         i, by_id, pad = columns["pvs_id"], {}, [None] * len(columns)
         for row in rows:
             row += pad[len(row):]
             if by_id.setdefault(row[i], row) is not row:
-                raise ValueError(f"{path}: duplicate pvs_id {row[i]!r}")
+                raise row_error(path, len(by_id), f"duplicate pvs_id {row[i]!r}")
     return columns, by_id
 
 
-def _floats(path, columns: dict[str, int], rows: list[list], name: str) -> list[float]:
-    """One column as finite floats; a bad cell names the file, column and pvs_id."""
-    i, k = columns[name], columns["pvs_id"]
-    values = [number(r[i]) for r in rows]
-    for r, value in zip(rows, values):
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: column {name}: bad value {r[i]!r} for {r[k]!r}")
+def _floats(path, columns: dict[str, int], by_id: dict[str, list], ids, name: str) -> list[float]:
+    """Column name of the rows ids as finite floats; a bad cell names the file,
+    its line, the column and the pvs_id."""
+    i = columns[name]
+    values = [number(by_id[pvs][i]) for pvs in ids]
+    for pvs, value in zip(ids, values):
+        if not math.isfinite(value):  # by_id is in file order, as no pvs_id repeats
+            raise row_error(path, [*by_id].index(pvs),
+                            f"column {name}: bad value {by_id[pvs][i]!r} for {pvs!r}")
     return values
 
 
-def cmd_correlate(args) -> int:
-    out = Path(args.out)
+def cmd_correlate(args, run: Run) -> None:
+    run.inputs = [args.metrics, args.subjective]
     (m_cols, m_rows), (s_cols, s_rows) = _read_table(args.metrics), _read_table(args.subjective)
     subj_col = next((c for c in ("subjective", "mos", "dmos") if c in s_cols), None)
     if subj_col is None:
         raise ValueError(f"{args.subjective}: no subjective/mos/dmos column")
-    subjective = dict(zip(s_rows, _floats(args.subjective, s_cols, [*s_rows.values()], subj_col)))
+    subjective = dict(zip(s_rows, _floats(args.subjective, s_cols, s_rows, s_rows, subj_col)))
     joined = [pvs for pvs in m_rows if pvs in subjective]
     if len(joined) < 3:
         raise ValueError(f"join produced {len(joined)} rows; need >= 3")
-    rows, y = [m_rows[pvs] for pvs in joined], [subjective[pvs] for pvs in joined]
+    y = [subjective[pvs] for pvs in joined]
 
     out_rows = []
     for name in (c for c in m_cols if c != "pvs_id"):
-        x = _floats(args.metrics, m_cols, rows, name)
+        x = _floats(args.metrics, m_cols, m_rows, joined, name)
         try:
             params = fit_logistic5(x, y) if args.map else None
             rep = correlate(x, y, params=params)
         except (PerclipError, ValueError) as exc:
             raise ValueError(f"{args.metrics}: column {name}: {exc}") from exc
         out_rows.append([name, rep.plcc, rep.srocc, rep.krcc, rep.rmse, rep.n])
-    path = out / "correlations.csv"
-    _write_csv(path, ["metric", "plcc", "srocc", "krcc", "rmse", "n"], out_rows)
-    sys.stdout.write(path.read_text())
-    _write_manifest(args, "correlate", [args.metrics, args.subjective], [path])
-    return 0
+    sys.stdout.write(run.csv("correlations.csv", ["metric", "plcc", "srocc", "krcc", "rmse", "n"],
+                             out_rows))
 
 
-def cmd_report(args) -> int:
-    out = Path(args.out)
+def cmd_report(args, run: Run) -> None:
+    run.inputs = list(args.curves)
     if not args.curves:
         raise ValueError("no curve files given")
     by_clip: dict[str, list[tuple[str, RdCurve]]] = {}
@@ -286,29 +265,17 @@ def cmd_report(args) -> int:
         variant = meta.get("variant") or Path(path).stem
         by_clip.setdefault(clip, []).append((variant, curve))
 
-    outputs: list[Path] = []
     summary_rows = []
     for clip in sorted(by_clip):
         entries = sorted(by_clip[clip], key=lambda e: e[0])
-        svg = render_rq_svg(clip, entries, metric_id=entries[0][1].metric_id)
-        path = out / f"{clip}.svg"
-        path.write_text(svg)
-        outputs.append(path)
+        run.text(f"{clip}.svg", render_rq_svg(clip, entries, metric_id=entries[0][1].metric_id))
         for variant, curve in entries:
             summary_rows.append(
                 [clip, variant, curve.metric_id, len(curve.points), min(curve.rates),
                  max(curve.rates), min(curve.qualities), max(curve.qualities)]
             )
-    summary = out / "report_summary.csv"
-    _write_csv(
-        summary,
-        ["clip", "variant", "metric", "n_points",
-         "rate_min_kbps", "rate_max_kbps", "quality_min", "quality_max"],
-        summary_rows,
-    )
-    outputs.append(summary)
-    _write_manifest(args, "report", list(args.curves), outputs)
-    return 0
+    run.csv("report_summary.csv", ["clip", "variant", "metric", "n_points", "rate_min_kbps",
+                                   "rate_max_kbps", "quality_min", "quality_max"], summary_rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,9 +335,20 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        args.started = _now()
-        return args.func(args)
+        run = Run(Path(args.out))
+        run.out.mkdir(parents=True, exist_ok=True)
+        args.func(args, run)
+        write_json(run.out / "manifest.json", {
+            "command": args.command,
+            "inputs": run.inputs,
+            "config": run.config,
+            "outputs": [str(p) for p in run.outputs],
+            "started": run.started,
+            "finished": _now(),
+            "exit_code": 0,
+            **run.facts,
+        })
+        return 0
     except (PerclipError, OSError, ValueError, KeyError) as exc:  # a JSON error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

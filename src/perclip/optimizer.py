@@ -229,10 +229,6 @@ def evaluate_cost(
         return math.inf
 
 
-def _ks(x) -> LambdaMultipliers:
-    return LambdaMultipliers(k1=float(x[0]), k2=float(x[1]))
-
-
 def optimize_clip(
     backend: EncoderBackend,
     clip: str,
@@ -261,29 +257,28 @@ def optimize_clip(
     except NOT_COMPARABLE as exc:
         raise type(exc)(
             f"clip {clip!r}: baseline curve not comparable with itself ({exc})") from exc
-    evaluations: list[CostEvaluation] = []
+    hits: list[bool] = []  # per evaluation, in the search's order
 
     def costs(xs) -> list[float]:
-        """The cost at each of xs, in order, each appended to evaluations.
-        The encodes of all of xs that miss the cache go to the backend
-        first, as one batch; a point is a cache hit when none of its
+        """The cost at each of xs, in order; whether each is a cache hit goes
+        on hits. The encodes of all of xs that miss the cache go to the
+        backend first, as one batch; a point is a cache hit when none of its
         requests was sent and none of its answers is a failure."""
         n = len(config.qps)
         answers, sent = enc.fetch([r for x in xs for r in curve_requests(
-            clip, _ks(x), config.qps, settings, config.metric_id)])
-        for i, x in enumerate(xs):
-            ks = _ks(x)
-            cost = float(evaluate_cost(enc, clip, ks, baseline, config, settings=settings))
-            own = slice(i * n, (i + 1) * n)
-            hit = not any(sent[own]) and not any(
-                isinstance(a, BackendFailure) for a in answers[own])
-            evaluations.append(CostEvaluation(ks=ks, cost=cost, cache_hit=hit))
-        return [e.cost for e in evaluations[-len(xs):]]
+            clip, LambdaMultipliers(*x), config.qps, settings, config.metric_id)])
+        for i in range(0, len(answers), n):
+            hits.append(not any(sent[i:i + n])
+                        and not any(isinstance(a, BackendFailure) for a in answers[i:i + n]))
+        return [float(evaluate_cost(enc, clip, LambdaMultipliers(*x), baseline, config,
+                                    settings=settings)) for x in xs]
 
     k_min, k_max = config.bounds
     result = powell_box_minimize(costs, (1.0, 1.0), (k_min, k_min), (k_max, k_max),
                                  K_RESOLUTION, COST_RESOLUTION)
-    best = _ks(result.x)
-    return best, OptimizationTrace(evaluations=tuple(evaluations), best=(best, result.fx),
+    best = LambdaMultipliers(*result.x)
+    evaluations = tuple(CostEvaluation(LambdaMultipliers(*x), cost, hit)
+                        for (x, cost), hit in zip(result.evaluations, hits, strict=True))
+    return best, OptimizationTrace(evaluations=evaluations, best=(best, result.fx),
                                    iterations=result.iterations, encode_count=enc.encodes_issued,
                                    batch_count=enc.batches_sent, stop=result.stop)

@@ -26,14 +26,12 @@ import math
 from dataclasses import dataclass
 from operator import add, itemgetter, mul, sub
 
-import numpy as np
-
 FTOL = 1e-6  # relative spread of a full point set's costs that ends the search
 
 
 @dataclass
 class PowellResult:
-    x: np.ndarray
+    x: tuple[float, ...]
     fx: float
     iterations: int
     evaluations: list[tuple[tuple[float, ...], float]]
@@ -112,7 +110,7 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
     """Minimize over the box [lower, upper] from x0 to a resolution of
     xtol, or until its model is validated to cost_resolution (never, at 0);
     iterations counts resolutions rho. f(xs) returns the costs of the
-    points xs in order; the cost at x0 must be finite."""
+    points xs, tuples of floats, in order; the cost at x0 must be finite."""
     x0, lower, upper = (tuple(map(float, v)) for v in (x0, lower, upper))
     if any(lo >= hi for lo, hi in zip(lower, upper)):
         raise ValueError("each lower bound must be below its upper bound")
@@ -133,7 +131,7 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
         xs = [clip(x) for x in xs]
         new = list(dict.fromkeys(x for x in xs if x not in seen))
         if new:
-            for x, v in zip(new, f([np.array(x) for x in new]), strict=True):
+            for x, v in zip(new, f(new), strict=True):
                 seen[x] = float(v)
                 if seen[x] < math.inf:
                     pts.append((x, seen[x]))
@@ -216,4 +214,4 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
         iterations, rho = iterations + 1, max(rho / 5.0, rho_end)
         delta = max(delta / 2.0, rho)
     best_x, best_f = min(seen.items(), key=itemgetter(1))
-    return PowellResult(np.asarray(best_x), best_f, iterations, list(seen.items()), stop)
+    return PowellResult(best_x, best_f, iterations, list(seen.items()), stop)

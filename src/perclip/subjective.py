@@ -315,7 +315,7 @@ def csv_rows(path, required):
             raise ValueError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from None
 
 
-def _row_error(path, index: int, problem: str) -> ValueError:
+def row_error(path, index: int, problem: str) -> ValueError:
     """A ValueError naming problem and the line on which the CSV file's
     index-th non-blank row after the header starts; it reads the file again."""
     with open(path, newline="", encoding=CSV_ENCODING) as fh:
@@ -378,11 +378,11 @@ def _raise_first_bad_line(path, subjects, pvs, raw) -> None:
     for k, (subject, pvs_id, cell) in enumerate(zip(subjects, pvs, raw)):
         score = number(cell)
         if not math.isfinite(score):
-            raise _row_error(path, k, f"bad score {cell!r}")
+            raise row_error(path, k, f"bad score {cell!r}")
         if not 0.0 <= score <= 100.0:
-            raise _row_error(path, k, f"score {cell!r} outside [0, 100]")
+            raise row_error(path, k, f"score {cell!r} outside [0, 100]")
         if not (subject and pvs_id):
-            raise _row_error(path, k, "empty subject_id or pvs_id")
+            raise row_error(path, k, "empty subject_id or pvs_id")
     raise AssertionError("no offending line found")
 
 
@@ -435,8 +435,8 @@ def read_pairing_csv(path) -> dict[str, str]:
             rec += pad[len(rec):]
             dist, src = rec[i_dist], rec[i_src]
             if not dist or not src:
-                raise _row_error(path, k, "empty pairing entry")
+                raise row_error(path, k, "empty pairing entry")
             if dist in pairing:
-                raise _row_error(path, k, f"duplicate dist_pvs_id {dist!r}")
+                raise row_error(path, k, f"duplicate dist_pvs_id {dist!r}")
             pairing[dist] = src
     return pairing

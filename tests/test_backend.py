@@ -363,6 +363,32 @@ class TestProcessBackend:
         with pytest.raises(BackendFailure, match="exited 3"):
             backend.encode(req(27, clip="c"))
 
+    def test_timeout_is_failure(self, tmp_path):
+        write_script(tmp_path / "enc.sh", "#!/bin/sh\nexec sleep 5\n")
+        backend = ProcessBackend(
+            encode_template=f"{tmp_path / 'enc.sh'} {{input}} {{output}}",
+            metric_template="true",
+            timeout_s=0.2,
+            clip_durations={"c": 5.0},
+            workdir=str(tmp_path),
+        )
+        with pytest.raises(BackendFailure, match=r"^timed out after 0.2s: .*enc\.sh$"):
+            backend.encode(req(27, clip="c"))
+
+    @pytest.mark.parametrize("metric", ["true", "{met} {{output}} {{stats}}"],
+                             ids=["missing", "not-json"])
+    def test_unreadable_stats_file_is_failure(self, tmp_path, metric):
+        write_script(tmp_path / "enc.sh", FAKE_ENCODER.format(size=1000))
+        write_script(tmp_path / "met.sh", FAKE_METRIC.format(payload="{not json"))
+        backend = ProcessBackend(
+            encode_template=f"{tmp_path / 'enc.sh'} {{input}} {{output}}",
+            metric_template=metric.format(met=tmp_path / "met.sh"),
+            clip_durations={"c": 5.0},
+            workdir=str(tmp_path),
+        )
+        with pytest.raises(BackendFailure, match=r"^unreadable stats file .*\.stats\.json: "):
+            backend.encode(req(27, clip="c"))
+
     def test_unknown_settings_profile(self, process_backend):
         with pytest.raises(BackendFailure, match="profile"):
             process_backend.encode(

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from perclip.cli import main
 
+from conftest import simulate_screening_panel
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -262,29 +264,81 @@ class TestOptimizeCommand:
     def test_cache_without_metric_field_exits_1(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
         cache.write_text(json.dumps([["meadow", "native", 27, 1.0, 1.0, 100.0, 18.0]]))
+        before = cache.read_bytes()
         code = run("--out", tmp_path, "optimize", "meadow",
                    "--config", DATA / "backend_synthetic.json", "--cache", cache)
         assert code == 1
         assert "7 fields" in capsys.readouterr().err
+        assert cache.read_bytes() == before  # a cache that fails to load is kept
 
     @pytest.mark.parametrize("doc", [3, None, {"a": [1]}])
     def test_cache_not_a_list_exits_1(self, tmp_path, capsys, doc):
         cache = tmp_path / "cache.json"
         cache.write_text(json.dumps(doc))
+        before = cache.read_bytes()
         code = run("--out", tmp_path, "optimize", "meadow",
                    "--config", DATA / "backend_synthetic.json", "--cache", cache)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{cache}: cache file is not a JSON list" in err
+        assert cache.read_bytes() == before
 
     def test_cache_with_invalid_row_exits_1(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
         cache.write_text(json.dumps([["meadow", "native", "ms_ssim", 27, 1.0, 1.0, -1.0, 18.0]]))
+        before = cache.read_bytes()
         code = run("--out", tmp_path, "optimize", "meadow",
                    "--config", DATA / "backend_synthetic.json", "--cache", cache)
         assert code == 1
         assert "cache row" in capsys.readouterr().err
+        assert cache.read_bytes() == before
+
+    def test_failed_later_clip_keeps_the_finished_encodes_in_the_cache(self, tmp_path):
+        # the encoder knows clip a only, so b's baseline fails and ends the
+        # run; a's encodes used to be lost with it
+        enc, met = tmp_path / "enc.sh", tmp_path / "met.sh"
+        enc.write_text('#!/bin/sh\n[ "$1" = a ] || exit 7\n'
+                       'head -c $((1000 * (70 - $3))) /dev/zero > "$2"\n')
+        met.write_text('#!/bin/sh\necho "{\\"ms_ssim\\": $((100 - $3))}" > "$2"\n')
+        for script in (enc, met):
+            script.chmod(0o755)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backend": {
+            "kind": "process", "encode_template": f"{enc} {{input}} {{output}} {{qp}}",
+            "metric_template": f"{met} {{output}} {{stats}} {{qp}}",
+            "default_duration_s": 5.0, "workdir": str(tmp_path)}}))
+        cache = tmp_path / "cache.json"
+        code, err = run_quietly("--out", tmp_path / "ab", "optimize", "a", "b",
+                                "--config", cfg, "--cache", cache)
+        assert code == 1 and "exited 7" in err
+        assert (tmp_path / "ab" / "a.result.json").exists()
+        assert not (tmp_path / "ab" / "manifest.json").exists()
+        assert {row[0] for row in json.loads(cache.read_text())} == {"a"}
+        assert run_quietly("--out", tmp_path / "a", "optimize", "a", "--config", cfg,
+                           "--cache", cache)[0] == 0
+        assert json.loads((tmp_path / "a" / "a.result.json").read_text())["encodes"] == 0
+
+    def test_interrupted_run_keeps_the_first_clips_encodes_in_the_cache(self, tmp_path,
+                                                                        monkeypatch):
+        from perclip import cli
+
+        search = cli.optimize_clip
+
+        def interrupted(backend, clip, *args, **kwargs):
+            if clip == "harbor":
+                raise KeyboardInterrupt
+            return search(backend, clip, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_clip", interrupted)
+        cache = tmp_path / "cache.json"
+        with pytest.raises(KeyboardInterrupt):
+            run_quietly("--out", tmp_path, "optimize", "meadow", "harbor",
+                        "--config", DATA / "backend_synthetic.json", "--cache", cache)
+        rows = json.loads(cache.read_text())
+        assert rows and {row[0] for row in rows} == {"meadow"}
+        assert (tmp_path / "meadow.result.json").exists()
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda cfg: cfg["backend"].update(model={"qmaxx": 3}),
@@ -674,6 +728,35 @@ class TestScoresCommand:
         rows = read_rows(tmp_path / "screening.csv")
         assert all(r["rejected"] == "0" for r in rows)
 
+    def test_screen_drops_a_rejected_subject_from_mos(self, tmp_path, capsys):
+        # s41 scores uniformly at random; the others agree closely
+        matrix = simulate_screening_panel(0)
+        lines = ["subject_id,pvs_id,score\n"] + [
+            f"{s},{e},{float(matrix.scores[i, j])!r}\n"
+            for i, s in enumerate(matrix.subjects) for j, e in enumerate(matrix.stimuli)]
+        panel, kept = tmp_path / "panel.csv", tmp_path / "kept.csv"
+        panel.write_text("".join(lines))
+        kept.write_text("".join(line for line in lines if not line.startswith("s41,")))
+        assert run("--out", tmp_path / "screened", "scores", panel, "--screen") == 0
+        assert capsys.readouterr().out == "rejected: s41\n"
+        rows = read_rows(tmp_path / "screened" / "screening.csv")
+        assert [r["subject_id"] for r in rows if r["rejected"] == "1"] == ["s41"]
+        assert run("--out", tmp_path / "kept", "scores", kept) == 0
+        mos = (tmp_path / "screened" / "mos.csv").read_bytes()
+        assert mos == (tmp_path / "kept" / "mos.csv").read_bytes()
+
+    def test_dmos_from_recovered_without_recover_exits_1(self, tmp_path):
+        code, err = run_quietly("--out", tmp_path / "out", "scores", DATA / "scores.csv",
+                                "--pairing", DATA / "pairing.csv", "--dmos-from", "recovered")
+        assert (code, err) == (1, "error: --dmos-from recovered requires --recover\n")
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_header_without_rows_exits_1(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("subject_id,pvs_id,score\n\n")
+        code, err = run_quietly("--out", tmp_path / "out", "scores", scores)
+        assert (code, err) == (1, f"error: {scores}: no score rows\n")
+
     def test_recovered_biases_match_injected(self, tmp_path):
         code = run(
             "--out", tmp_path, "scores", DATA / "scores.csv",
@@ -872,7 +955,7 @@ class TestCorrelateCommand:
         code = run("--out", tmp_path, "correlate", paths["metrics"], paths["subjective"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: {paths[which]}: duplicate pvs_id {repeat!r}\n"
+        assert err == f"error: {paths[which]}: line {len(lines)}: duplicate pvs_id {repeat!r}\n"
         assert not (tmp_path / "correlations.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -890,6 +973,27 @@ class TestCorrelateCommand:
             assert code == 1
             assert "psnr_y_db" in capsys.readouterr().err
             assert not (tmp_path / mode / "correlations.csv").exists()
+
+    @pytest.mark.parametrize("which, column", [("metrics", "psnr_y_db"),
+                                               ("subjective", "subjective")])
+    @pytest.mark.parametrize("bad", ["cell", "repeat"])
+    def test_row_error_names_the_line_a_blank_line_counts(self, tmp_path, which, column, bad):
+        paths = {"metrics": DATA / "metrics.csv", "subjective": DATA / "subjective.csv"}
+        lines = paths[which].read_text().splitlines(keepends=True)
+        cells = lines[3].rstrip("\n").split(",")
+        if bad == "cell":
+            cells[lines[0].rstrip("\n").split(",").index(column)] = "x"
+            problem = f"column {column}: bad value 'x' for {cells[0]!r}"
+        else:
+            cells[0] = lines[1].split(",")[0]
+            problem = f"duplicate pvs_id {cells[0]!r}"
+        lines[3] = ",".join(cells) + "\n"
+        lines.insert(2, "\n")  # the bad row is now on line 5
+        paths[which] = tmp_path / f"{which}.csv"
+        paths[which].write_text("".join(lines))
+        code, err = run_quietly("--out", tmp_path, "correlate", paths["metrics"],
+                                paths["subjective"])
+        assert (code, err) == (1, f"error: {paths[which]}: line 5: {problem}\n")
 
     @pytest.mark.parametrize("which", ["metrics", "subjective"])
     def test_value_of_extreme_size_gives_no_nan_and_no_warning(self, tmp_path, which):
@@ -1055,9 +1159,11 @@ class TestJsonInputs:
         # with both --config and --cache the bare decoder message named neither
         cache = tmp_path / "cache.json"
         cache.write_text('[["meadow", "native", "ms_ssim", 27,\n')
+        before = cache.read_bytes()
         code, err = run_quietly("--out", tmp_path, "optimize", "meadow",
                                 "--config", DATA / "backend_synthetic.json", "--cache", cache)
         assert (code, err) == (1, f"error: {cache}: Expecting value: line 2 column 1 (char 37)\n")
+        assert cache.read_bytes() == before
 
     @pytest.mark.parametrize("command", ["bd", "report"])
     @pytest.mark.parametrize("text", [

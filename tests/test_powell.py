@@ -196,8 +196,7 @@ class TestPowellProperties:
         f = self._bowl(centre, weights)
         first, second = (minimize(f, x0, lo, hi) for _ in range(2))
         assert first.evaluations == second.evaluations
-        assert (first.x.tolist(), first.fx, first.iterations) == (
-            second.x.tolist(), second.fx, second.iterations)
+        assert (first.x, first.fx, first.iterations) == (second.x, second.fx, second.iterations)
 
 
 class TestOptimizationConfig:
