@@ -30,8 +30,8 @@ print(f"{len(matrix.subjects)} subjects x {len(matrix.stimuli)} stimuli")
 # Observer screening: count scores far outside each stimulus consensus.
 report = bt500_screen(matrix)
 print(f"screening rejected: {report.rejected or 'none'}")
-worst = max(report.per_subject.items(), key=lambda kv: kv[1].outlier_ratio)
-print(f"highest outlier ratio: {worst[0]} at {worst[1].outlier_ratio:.3f}")
+worst = int(np.argmax(report.outlier_ratio))
+print(f"highest outlier ratio: {report.subjects[worst]} at {report.outlier_ratio[worst]:.3f}")
 
 # Plain per-stimulus means with Student-t 95% intervals.
 mos = compute_mos(matrix)

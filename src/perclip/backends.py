@@ -248,9 +248,9 @@ class ProcessBackend(EncoderBackend):
         except subprocess.TimeoutExpired as exc:
             raise BackendFailure(f"timed out after {self.timeout_s}s: {argv[0]}") from exc
         if proc.returncode != 0:
-            raise BackendFailure(
-                f"{argv[0]} exited {proc.returncode}: {proc.stderr.strip()[:400]}"
-            )
+            stderr = proc.stderr.strip()[:400]
+            raise BackendFailure(f"{argv[0]} exited {proc.returncode}"
+                                 + (f": {stderr}" if stderr else ""))
 
     def _command(self, name: str, fields: dict, settings: str) -> str:
         """The template backend.<name> filled in from fields; a field it

@@ -32,11 +32,11 @@ from .subjective import (
     compute_mos,
     csv_rows,
     number,
+    read_cohorts,
     read_pairing_csv,
     read_scores_csv,
     recover_mle,
     row_error,
-    subject_cohorts,
 )
 
 
@@ -82,9 +82,9 @@ class Run:
         writer.writerows([fmt(v) for v in row] for row in rows)
         return self.text(name, buf.getvalue())
 
-    def table(self, name: str, column: str, table: MosTable) -> str:
-        return self.csv(name, ["pvs_id", column, "ci95", "n"], zip(
-            table.stimuli, table.mos.tolist(), table.ci95.tolist(), table.n.tolist()))
+    def columns(self, name: str, header: list[str], *columns) -> str:
+        return self.csv(name, header, zip(
+            *(c.tolist() if hasattr(c, "tolist") else c for c in columns)))
 
 
 def _bare_name(clip: str, prefix: str = "") -> str:
@@ -132,7 +132,7 @@ def cmd_bd(args, run: Run) -> None:
     ref, ref_meta = load_curve_file(args.ref)
     test, _ = load_curve_file(args.test)
     clip = ref_meta["clip"]
-    rate_res = bd_rate(ref, test, clean=args.clean)
+    rate_res = bd_rate(ref, test)
     qual_res = bd_quality(ref, test)
     if args.anchors:
         texts = args.anchors.split(",")
@@ -161,48 +161,39 @@ def cmd_scores(args, run: Run) -> None:
     run.inputs = [args.scores] + ([args.pairing] if args.pairing else [])
     if args.dmos_from == "recovered" and not args.recover:
         raise ValueError("--dmos-from recovered requires --recover")
-    table = read_scores_csv(args.scores)
-    matrix = build_score_matrix(table)
+    matrix = build_score_matrix(read_scores_csv(args.scores))
     pairing = read_pairing_csv(args.pairing) if args.pairing else None
-
-    cohorts: dict[str, list[str]] = {"": list(matrix.subjects)}
+    # "" is every subject; a label's tables are mos.<label>.csv and so on
+    cohorts = {"": matrix.subjects}
     if args.cohort:
-        by_subject = subject_cohorts(table, args.cohort)
-        for subj, label in by_subject.items():
-            cohorts.setdefault(label, []).append(subj)
+        cohorts |= read_cohorts(args.scores, args.cohort)
 
     if args.screen:
         screening = bt500_screen(matrix)
-        run.csv("screening.csv",
-                ["subject_id", "p", "q", "n_scored", "outlier_ratio", "asymmetry", "rejected"],
-                [[s, r.p, r.q, r.n_scored, r.outlier_ratio, r.asymmetry, s in screening.rejected]
-                 for s, r in screening.per_subject.items()])
-        if screening.rejected:
-            print("rejected: " + ",".join(screening.rejected))
-            matrix = matrix.subset_subjects(
-                [s for s in matrix.subjects if s not in screening.rejected]
-            )
-        else:
-            print("rejected: none")
+        run.columns("screening.csv",
+                    ["subject_id", "p", "q", "n_scored", "outlier_ratio", "asymmetry", "rejected"],
+                    *screening[:-1], [s in screening.rejected for s in screening.subjects])
+        print("rejected: " + (",".join(screening.rejected) or "none"))
+        matrix = matrix.subset_subjects(s for s in matrix.subjects if s not in screening.rejected)
 
     for label, subjects in cohorts.items():
         suffix = f".{label}" if label else ""
         sub = matrix if label == "" else matrix.subset_subjects(subjects)
         mos = compute_mos(sub)
-        run.table(f"mos{suffix}.csv", "mos", mos)
+        run.columns(f"mos{suffix}.csv", ["pvs_id", "mos", "ci95", "n"], *mos)
 
         if args.recover:
             model = recover_mle(sub)
-            run.csv(f"psi{suffix}.csv", ["pvs_id", "psi", "ci95"],
-                    zip(model.stimuli, model.psi.tolist(), model.ci95.tolist()))
-            run.csv(f"subjects{suffix}.csv", ["subject_id", "delta", "nu"],
-                    zip(model.subjects, model.delta.tolist(), model.nu.tolist()))
+            run.columns(f"psi{suffix}.csv", ["pvs_id", "psi", "ci95"],
+                        model.stimuli, model.psi, model.ci95)
+            run.columns(f"subjects{suffix}.csv", ["subject_id", "delta", "nu"],
+                        model.subjects, model.delta, model.nu)
 
         if pairing is not None:
-            base = mos
             if args.dmos_from == "recovered":
-                base = MosTable(model.stimuli, model.psi, model.ci95, mos.n)
-            run.table(f"dmos{suffix}.csv", "dmos", compute_dmos(base, pairing))
+                mos = MosTable(model.stimuli, model.psi, model.ci95, mos.n)
+            run.columns(f"dmos{suffix}.csv", ["pvs_id", "dmos", "ci95", "n"],
+                        *compute_dmos(mos, pairing))
 
 
 def _read_table(path) -> tuple[dict[str, int], dict[str, list]]:
@@ -297,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bd", help="delta metrics between two curve files")
     p.add_argument("ref")
     p.add_argument("test")
-    p.add_argument("--clean", action=argparse.BooleanOptionalAction, default=True,
-                   help="drop non-monotone points before the rate delta")
     p.add_argument("--anchors", default=None,
                    help="comma-separated anchor qualities for bitrate savings")
     p.set_defaults(func=cmd_bd)
@@ -328,16 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         stream=sys.stderr,
     )
+    errors = (PerclipError, OSError, ValueError, KeyError)  # a JSON error is a ValueError
+    run, error = Run(Path(args.out)), None
     try:
-        run = Run(Path(args.out))
         run.out.mkdir(parents=True, exist_ok=True)
-        args.func(args, run)
+        try:
+            args.func(args, run)
+        except errors as exc:  # the manifest records a failed run too
+            error = exc
         write_json(run.out / "manifest.json", {
             "command": args.command,
             "inputs": run.inputs,
@@ -345,13 +337,15 @@ def main(argv=None) -> int:
             "outputs": [str(p) for p in run.outputs],
             "started": run.started,
             "finished": _now(),
-            "exit_code": 0,
+            "exit_code": 0 if error is None else 1,
+            **({} if error is None else {"error": str(error)}),
             **run.facts,
         })
-        return 0
-    except (PerclipError, OSError, ValueError, KeyError) as exc:  # a JSON error is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except errors as exc:  # a command's own error is the one reported
+        error = error or exc
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return 0 if error is None else 1
 
 
 def console_main() -> None:

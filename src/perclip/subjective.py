@@ -8,18 +8,19 @@ entries only; nothing is imputed. compute_mos reduces the stimuli that share
 a score count as the rows of one array, bitwise the per-stimulus sums, and
 recover_mle takes its log-likelihood from per-subject residual sums.
 
-MOS and DMOS tables are columnar: the stimulus ids plus one array each of
-means, 95% half-widths and score counts. compute_dmos maps the pairing to
-indices and gathers the paired columns.
+MOS, DMOS and screening tables are columnar: the stimulus or subject ids
+plus one array per statistic. compute_dmos maps the pairing to indices and
+gathers the paired columns.
 
 Every CSV input goes through csv_rows. Score ingestion is columnar: one
 pass appends the subject ids, the stimulus ids and the score cells to one
-list each, optional columns likewise; the scores convert in one np.fromiter
-call and pass one vectorised range check. Only when it fails are the rows
-walked again, to find the first offending row, and the file read again up
-to it, to name its line: an error names the line in the file, blank lines
-counted, as csv and UTF-8 errors do. build_score_matrix scatters
-the scores in bulk and runs np.unique only to name a repeated pair.
+list each (read_cohorts reads the one optional column --cohort names); the
+scores convert in one np.fromiter call and pass one vectorised range
+check. Only when it fails are the rows walked again, to find the first
+offending row, and the file read again up to it, to name its line: an
+error names the line in the file, blank lines counted, as csv and UTF-8
+errors do. build_score_matrix scatters the scores in bulk and runs
+np.unique only to name a repeated pair.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -57,9 +59,9 @@ class ScoreMatrix:
         vals = scores[present]
         if vals.size and (vals.min() < 0.0 or vals.max() > 100.0):
             raise ValueError("scores must lie in [0, 100]")
-        per_subject = present.sum(axis=1)
-        if np.any(per_subject < 1):
-            bad = self.subjects[int(np.argmin(per_subject))]
+        scored = present.sum(axis=1)
+        if np.any(scored < 1):
+            bad = self.subjects[int(np.argmin(scored))]
             raise ValueError(f"subject {bad!r} has no scores")
         per_stim = present.sum(axis=0)
         if np.any(per_stim < 2):
@@ -93,19 +95,18 @@ class MosTable(NamedTuple):
     n: np.ndarray
 
 
-@dataclass(frozen=True)
-class SubjectScreen:
-    p: int  # scores above the per-stimulus upper threshold
-    q: int  # scores below the lower threshold
-    n_scored: int
-    outlier_ratio: float  # (p + q) / n_scored
-    asymmetry: float  # |p - q| / (p + q), 0 when p + q == 0
+class ScreeningReport(NamedTuple):
+    """Per-subject columns: p (q) counts the scores above (below) the
+    per-stimulus threshold, outlier_ratio is (p + q) / n_scored and asymmetry
+    |p - q| / (p + q), 0 when p + q == 0. rejected: the rejected subjects."""
 
-
-@dataclass(frozen=True)
-class ScreeningReport:
+    subjects: tuple[str, ...]
+    p: np.ndarray
+    q: np.ndarray
+    n_scored: np.ndarray
+    outlier_ratio: np.ndarray
+    asymmetry: np.ndarray
     rejected: tuple[str, ...]
-    per_subject: dict[str, SubjectScreen]
 
 
 @dataclass(frozen=True)
@@ -198,20 +199,11 @@ def bt500_screen(matrix: ScoreMatrix) -> ScreeningReport:
     p = above.sum(axis=1)
     q = below.sum(axis=1)
     n_scored = present.sum(axis=1)
-
-    per_subject: dict[str, SubjectScreen] = {}
-    rejected: list[str] = []
-    for i, subj in enumerate(matrix.subjects):
-        pq = int(p[i] + q[i])
-        ratio = pq / int(n_scored[i])
-        asym = abs(int(p[i]) - int(q[i])) / pq if pq > 0 else 0.0
-        per_subject[subj] = SubjectScreen(
-            p=int(p[i]), q=int(q[i]), n_scored=int(n_scored[i]),
-            outlier_ratio=ratio, asymmetry=asym,
-        )
-        if ratio > 0.05 and asym < 0.3:
-            rejected.append(subj)
-    return ScreeningReport(rejected=tuple(rejected), per_subject=per_subject)
+    # int64 / int64 rounds as Python's int / int does for counts below 2**53
+    ratio = (p + q) / n_scored
+    asym = np.abs(p - q) / np.maximum(p + q, 1)  # 0 / 1 when p + q == 0
+    rejected = tuple(compress(matrix.subjects, (ratio > 0.05) & (asym < 0.3)))
+    return ScreeningReport(matrix.subjects, p, q, n_scored, ratio, asym, rejected)
 
 
 def recover_mle(matrix: ScoreMatrix) -> SubjectModel:
@@ -225,15 +217,15 @@ def recover_mle(matrix: ScoreMatrix) -> SubjectModel:
     inconsistency, so its psi is the plain mean; iterations counts it.
     """
     present = matrix.present
-    per_subject = present.sum(axis=1)
-    if np.any(per_subject < 2):
-        bad = matrix.subjects[int(np.argmin(per_subject))]
+    scored = present.sum(axis=1)
+    if np.any(scored < 2):
+        bad = matrix.subjects[int(np.argmin(scored))]
         raise TooFewRaters(f"subject {bad!r} has fewer than 2 scores")
     scores = np.where(present, matrix.scores, 0.0)
     # products with this 0/1 mask are np.where(present, ..., 0.0) bitwise at a
     # third of the cost, since scores holds +0.0 where the mask is 0.0
     mask = present.astype(float)
-    n_scored = per_subject.astype(float)
+    n_scored = scored.astype(float)
     n_subjects = len(matrix.subjects)
     psi = np.zeros(len(matrix.stimuli))
     delta = np.zeros(n_subjects)
@@ -281,13 +273,11 @@ def recover_mle(matrix: ScoreMatrix) -> SubjectModel:
 
 
 class ScoreTable(NamedTuple):
-    """Score rows by column, in file order. meta maps each optional column
-    to one cell per row, None where the cell is empty or missing."""
+    """Score rows by column, in file order."""
 
     subject_ids: list[str]
     pvs_ids: list[str]
     scores: np.ndarray
-    meta: dict[str, list[str | None]]
 
 
 @contextmanager
@@ -338,17 +328,15 @@ def number(text) -> float:
 
 
 def read_scores_csv(path) -> ScoreTable:
-    """Read rows of subject_id,pvs_id,score plus optional metadata columns
-    (clip, qp, variant, role, cohort...), kept as strings in ScoreTable.meta;
-    a short row's missing cells read as None. A score that is not a finite number
-    in [0, 100] or an empty id is a ValueError naming its line in the file."""
+    """Read rows of subject_id,pvs_id,score; optional columns (clip, qp,
+    cohort...) are skipped, and a short row's missing cells read as None. A
+    score that is not a finite number in [0, 100] or an empty id is a
+    ValueError naming its line in the file."""
     required = ("subject_id", "pvs_id", "score")
     with csv_rows(path, required) as (columns, rows):
         i_subject, i_pvs, i_score = (columns[name] for name in required)
         width, pad = len(columns), [None] * len(columns)
         subjects, pvs, raw = [], [], []  # ids and score cells, one per row
-        meta = {name: [] for name in columns if name not in required}
-        extra = [(meta[name].append, columns[name]) for name in meta]
         add_subject, add_pvs, add_raw = subjects.append, pvs.append, raw.append
         subject_id, pvs_id = {}.setdefault, {}.setdefault  # one str per distinct id
         for rec in rows:
@@ -357,8 +345,6 @@ def read_scores_csv(path) -> ScoreTable:
             add_subject(subject_id(rec[i_subject], rec[i_subject]))
             add_pvs(pvs_id(rec[i_pvs], rec[i_pvs]))
             add_raw(rec[i_score])
-            for add, i in extra:
-                add(rec[i])
     if not raw:
         raise ValueError(f"{path}: no score rows")
     try:
@@ -368,8 +354,7 @@ def read_scores_csv(path) -> ScoreTable:
         ok = False
     if not (ok and all(subjects) and all(pvs)):
         _raise_first_bad_line(path, subjects, pvs, raw)
-    meta = {name: [cell or None for cell in cells] for name, cells in meta.items()}
-    return ScoreTable(subjects, pvs, scores, meta)
+    return ScoreTable(subjects, pvs, scores)
 
 
 def _raise_first_bad_line(path, subjects, pvs, raw) -> None:
@@ -411,18 +396,25 @@ def build_score_matrix(table: ScoreTable) -> ScoreMatrix:
     )
 
 
-def subject_cohorts(table: ScoreTable, column: str) -> dict[str, str]:
-    """Map each subject to its value of a metadata column (e.g. a cohort
-    label). A row without a value, or conflicting values for one subject,
-    raise ValueError."""
-    out: dict[str, str] = {}
-    values = table.meta.get(column) or [None] * len(table.subject_ids)
-    for subject, value in zip(table.subject_ids, values):
-        if value is None:
-            raise ValueError(f"row for {subject!r} lacks column {column!r}")
-        if out.setdefault(subject, value) != value:
-            raise ValueError(f"subject {subject!r} has conflicting {column!r} values")
-    return out
+def read_cohorts(path, column: str) -> dict[str, list[str]]:
+    """Map each label in the scores CSV's column (a cohort, say) to its
+    subjects, labels and subjects in order of first appearance. A row without
+    a label, or a subject labelled two ways, is a ValueError naming its line."""
+    cohorts, label_of = {}, {}  # label -> subjects, subject -> label
+    with csv_rows(path, ("subject_id", column)) as (columns, rows):
+        i_subject, i_label, pad = columns["subject_id"], columns[column], [None] * len(columns)
+        for k, rec in enumerate(rows):
+            rec += pad[len(rec):]
+            subject, label = rec[i_subject], rec[i_label]
+            if not label:
+                raise row_error(path, k, f"no {column!r} label for subject {subject!r}")
+            if subject not in label_of:
+                label_of[subject] = label
+                cohorts.setdefault(label, []).append(subject)
+            elif label_of[subject] != label:
+                raise row_error(path, k, f"subject {subject!r} has conflicting {column!r} "
+                                         f"labels {label_of[subject]!r} and {label!r}")
+    return cohorts
 
 
 def read_pairing_csv(path) -> dict[str, str]:

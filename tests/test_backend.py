@@ -363,6 +363,20 @@ class TestProcessBackend:
         with pytest.raises(BackendFailure, match="exited 3"):
             backend.encode(req(27, clip="c"))
 
+    @pytest.mark.parametrize("stderr, tail", [("", ""), ("echo boom >&2\n", ": boom")],
+                             ids=["silent", "stderr"])
+    def test_failure_message_ends_in_the_tools_stderr_if_any(self, tmp_path, stderr, tail):
+        enc = tmp_path / "enc.sh"
+        write_script(enc, f"#!/bin/sh\n{stderr}exit 7\n")
+        backend = ProcessBackend(
+            encode_template=f"{enc} {{input}} {{output}}",
+            metric_template="true",
+            clip_durations={"c": 5.0},
+            workdir=str(tmp_path),
+        )
+        [res] = backend.encode_many([req(27, clip="c")])
+        assert str(res) == f"qp 27: {enc} exited 7{tail}"
+
     def test_timeout_is_failure(self, tmp_path):
         write_script(tmp_path / "enc.sh", "#!/bin/sh\nexec sleep 5\n")
         backend = ProcessBackend(

@@ -141,6 +141,32 @@ def assert_one_error_line_or_ok(code: int, err: str) -> None:
         assert err == ""
 
 
+# Values a fuzzed config field or cache cell may take, drawn by index: a
+# 401-digit integer is no float, and json.dumps writes NaN and Infinity
+JSON_VALUES = [None, True, False, "", "meadow", [], [1.0, 1.0], {}, {"kind": "synthetic"},
+               0, -1, 27, -0.0, 5e-324, 1e308, 10**401, math.nan, math.inf]
+
+
+def json_places(doc, place=()):
+    """The key or index path of doc itself and of every value inside it."""
+    yield place
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from json_places(value, (*place, key))
+
+
+def replaced(doc, place, value):
+    """A copy of doc with the value at place, a json_places path, set to value."""
+    if not place:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in place[:-1]:
+        parent = parent[key]
+    parent[place[-1]] = value
+    return doc
+
+
 # (edit of a shipped curve file, start of the error after the file name)
 BAD_CURVE_FILES = [
     pytest.param(lambda doc: doc.update(metric=3),
@@ -312,8 +338,16 @@ class TestOptimizeCommand:
         code, err = run_quietly("--out", tmp_path / "ab", "optimize", "a", "b",
                                 "--config", cfg, "--cache", cache)
         assert code == 1 and "exited 7" in err
-        assert (tmp_path / "ab" / "a.result.json").exists()
-        assert not (tmp_path / "ab" / "manifest.json").exists()
+        # the manifest records the failure and a's files and counts
+        manifest = json.loads((tmp_path / "ab" / "manifest.json").read_text())
+        assert list(manifest) == ["command", "inputs", "config", "outputs", "started",
+                                  "finished", "exit_code", "error", "clips"]
+        assert manifest["exit_code"] == 1 and f"error: {manifest['error']}\n" == err
+        assert manifest["outputs"] == [str(tmp_path / "ab" / name)
+                                       for name in ("a.result.json", "a.trace.csv")]
+        result = json.loads((tmp_path / "ab" / "a.result.json").read_text())
+        assert list(manifest["clips"]) == ["a"]
+        assert manifest["clips"]["a"]["encodes"] == result["encodes"] > 0
         assert {row[0] for row in json.loads(cache.read_text())} == {"a"}
         assert run_quietly("--out", tmp_path / "a", "optimize", "a", "--config", cfg,
                            "--cache", cache)[0] == 0
@@ -749,7 +783,10 @@ class TestScoresCommand:
         code, err = run_quietly("--out", tmp_path / "out", "scores", DATA / "scores.csv",
                                 "--pairing", DATA / "pairing.csv", "--dmos-from", "recovered")
         assert (code, err) == (1, "error: --dmos-from recovered requires --recover\n")
-        assert not list((tmp_path / "out").iterdir())
+        # only the manifest of the failed run, which lists no output
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["outputs"]) == (1, [])
 
     def test_header_without_rows_exits_1(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -791,6 +828,20 @@ class TestScoresCommand:
         expert = read_rows(tmp_path / "mos.expert.csv")
         assert len(overall) == len(expert) == 27
         assert all(r["n"] == "6" for r in expert)
+
+    @pytest.mark.parametrize("label, message", [
+        ("", "no 'cohort' label for subject 's01'"),
+        ("nonexpert", "subject 's01' has conflicting 'cohort' labels 'expert' and 'nonexpert'"),
+    ], ids=["empty", "conflicting"])
+    def test_bad_cohort_cell_names_its_line(self, tmp_path, label, message):
+        # a bad cohort cell used to be the one row error naming no file or line
+        lines = (DATA / "scores.csv").read_text().splitlines(keepends=True)
+        assert lines[0].rstrip().endswith(",cohort") and lines[5].startswith("s01,")
+        lines[5] = f"{lines[5].rsplit(',', 1)[0]},{label}\n"
+        scores = tmp_path / "scores.csv"
+        scores.write_text("".join(lines))
+        code, err = run_quietly("--out", tmp_path / "out", "scores", scores, "--cohort", "cohort")
+        assert (code, err) == (1, f"error: {scores}: line 6: {message}\n")
 
     def test_missing_pairing_row_exits_1(self, tmp_path, capsys):
         pairing = tmp_path / "pairing.csv"
@@ -1177,6 +1228,24 @@ class TestJsonInputs:
                                 DATA / "curves" / "meadow__tuned.curve.json")
         assert code == 1
         assert err.startswith(f"error: {curve}: ") and len(err.splitlines()) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.sampled_from(["config", "cache"]), place=st.integers(0, 10**6),
+           value=st.integers(0, len(JSON_VALUES) - 1))
+    def test_any_edited_config_or_cache_exits_0_or_with_one_error_line(
+            self, tmp_path_factory, which, place, value):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        docs = {"config": json.loads((DATA / "backend_synthetic.json").read_text()),
+                "cache": [row for row in json.loads((ROOT / "tests" / "golden" / "optimize" /
+                                                     "cache.json").read_text())
+                          if row[0] == "meadow"]}
+        places = list(json_places(docs[which]))
+        docs[which] = replaced(docs[which], places[place % len(places)], JSON_VALUES[value])
+        for name, doc in docs.items():
+            (tmp / f"{name}.json").write_text(json.dumps(doc))
+        assert_one_error_line_or_ok(*run_quietly(
+            "--out", tmp / "out", "optimize", "meadow",
+            "--config", tmp / "config.json", "--cache", tmp / "cache.json"))
 
 
 class TestReportCommand:

@@ -25,7 +25,7 @@ from perclip import (
     recover_mle,
 )
 from perclip.errors import MissingPair, NonConvergence, TooFewRaters
-from perclip.subjective import ScoreTable, csv_rows, subject_cohorts
+from perclip.subjective import ScoreTable, csv_rows, read_cohorts
 
 from conftest import (
     make_matrix,
@@ -36,15 +36,14 @@ from conftest import (
 
 
 
-def score_table(rows, **meta) -> ScoreTable:
-    """A ScoreTable from (subject_id, pvs_id, score) rows and per-row
-    optional columns."""
+def score_table(rows) -> ScoreTable:
+    """A ScoreTable from (subject_id, pvs_id, score) rows."""
     subjects, pvs, scores = zip(*rows)
-    return ScoreTable(list(subjects), list(pvs), np.array(scores, dtype=float), meta)
+    return ScoreTable(list(subjects), list(pvs), np.array(scores, dtype=float))
 
 
-# The row-by-row ingestion, MOS and DMOS that the columnar path replaced,
-# kept as its reference. One row is (subject_id, pvs_id, score, meta dict).
+# The row-by-row ingestion, cohort grouping, MOS and DMOS that the columnar
+# path replaced, kept as its reference. One row is (subject_id, pvs_id, score).
 
 def rowwise_read_scores_csv(path) -> list[tuple]:
     required = ("subject_id", "pvs_id", "score")
@@ -56,7 +55,6 @@ def rowwise_read_scores_csv(path) -> list[tuple]:
             raise ValueError(f"{path}: header must contain {sorted(required)}")
         columns = {name: i for i, name in enumerate(header)}
         i_subject, i_pvs, i_score = (columns[name] for name in required)
-        optional = [(name, i) for name, i in columns.items() if name not in required]
         for rec in reader:
             if not rec:
                 continue
@@ -75,8 +73,7 @@ def rowwise_read_scores_csv(path) -> list[tuple]:
                 )
             if not (rec[i_subject] and rec[i_pvs]):
                 raise ValueError(f"{path}: line {lineno}: empty subject_id or pvs_id")
-            meta = {name: rec[i] for name, i in optional if rec[i]}
-            rows.append((rec[i_subject], rec[i_pvs], score, meta))
+            rows.append((rec[i_subject], rec[i_pvs], score))
     if not rows:
         raise ValueError(f"{path}: no score rows")
     return rows
@@ -86,7 +83,7 @@ def rowwise_build_score_matrix(rows) -> ScoreMatrix:
     s_idx = {s: i for i, s in enumerate(dict.fromkeys(r[0] for r in rows))}
     e_idx = {e: j for j, e in enumerate(dict.fromkeys(r[1] for r in rows))}
     scores = np.full((len(s_idx), len(e_idx)), np.nan)
-    for subject_id, pvs_id, score, _ in rows:
+    for subject_id, pvs_id, score in rows:
         i, j = s_idx[subject_id], e_idx[pvs_id]
         if not math.isnan(scores[i, j]):
             raise ValueError(f"duplicate score for ({subject_id}, {pvs_id})")
@@ -94,15 +91,31 @@ def rowwise_build_score_matrix(rows) -> ScoreMatrix:
     return ScoreMatrix(subjects=tuple(s_idx), stimuli=tuple(e_idx), scores=scores)
 
 
-def rowwise_subject_cohorts(rows, column) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for subject_id, _, _, meta in rows:
-        value = meta.get(column)
-        if value is None:
-            raise ValueError(f"row for {subject_id!r} lacks column {column!r}")
-        if out.setdefault(subject_id, value) != value:
-            raise ValueError(f"subject {subject_id!r} has conflicting {column!r} values")
-    return out
+def rowwise_read_cohorts(path, column) -> dict[str, list[str]]:
+    required = {"subject_id", column}
+    label_of: dict[str, str] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not required <= set(header):
+            raise ValueError(f"{path}: header must contain {sorted(required)}")
+        i_subject, i_label = header.index("subject_id"), header.index(column)
+        for rec in reader:
+            if not rec:
+                continue
+            lineno = reader.line_num  # each row here is one line
+            rec += [""] * (len(header) - len(rec))
+            subject, label = rec[i_subject], rec[i_label]
+            if not label:
+                raise ValueError(f"{path}: line {lineno}: no {column!r} label "
+                                 f"for subject {subject!r}")
+            if label_of.setdefault(subject, label) != label:
+                raise ValueError(f"{path}: line {lineno}: subject {subject!r} has conflicting "
+                                 f"{column!r} labels {label_of[subject]!r} and {label!r}")
+    cohorts: dict[str, list[str]] = {}
+    for subject, label in label_of.items():
+        cohorts.setdefault(label, []).append(subject)
+    return cohorts
 
 
 def rowwise_compute_mos(matrix) -> MosTable:
@@ -296,22 +309,25 @@ class TestColumnarIngestionMatchesRowwise:
             path.write_text(text)
             got_table = outcome(read_scores_csv, path)
             want_rows = outcome(rowwise_read_scores_csv, path)
+            cohorts = outcome(read_cohorts, path, "cohort")
+            want_cohorts = outcome(rowwise_read_cohorts, path, "cohort")
         assert (got_table[0] == "ok") == (defect not in LINE_DEFECTS)
         assert got_table[0] == want_rows[0]
         if got_table[0] != "ok":
             assert got_table == want_rows
             return
         table, rows = got_table[1], want_rows[1]
-        n = len(rows)
         assert table.subject_ids == [r[0] for r in rows]
         assert table.pvs_ids == [r[1] for r in rows]
         assert table.scores.tobytes() == np.array([r[2] for r in rows]).tobytes()
-        for k, (_, _, _, meta) in enumerate(rows):
-            assert {name: cells[k] for name, cells in table.meta.items()
-                    if cells[k] is not None} == meta
-        assert all(len(cells) == n for cells in table.meta.values())
-        assert (outcome(subject_cohorts, table, "cohort")
-                == outcome(rowwise_subject_cohorts, rows, "cohort"))
+        assert cohorts == want_cohorts
+        if defect == "no_cohort":
+            assert cohorts[1] == f"{path}: header must contain ['cohort', 'subject_id']"
+        elif defect == "conflicting_cohort":
+            assert re.match(rf"{re.escape(str(path))}: line \d+: subject 's\d' has "
+                            "conflicting 'cohort' labels", cohorts[1])
+        else:
+            assert cohorts[0] == "ok"
 
         got, want = outcome(build_score_matrix, table), outcome(rowwise_build_score_matrix, rows)
         if defect == "duplicate":
@@ -491,17 +507,31 @@ class TestBt500Screen:
         report = bt500_screen(m)
         biased = m.subjects[-1]
         assert biased not in report.rejected
-        screen = report.per_subject[biased]
         # plenty of outliers, but all on one side
-        assert screen.outlier_ratio > 0.05
-        assert screen.asymmetry >= 0.3
+        assert report.outlier_ratio[-1] > 0.05
+        assert report.asymmetry[-1] >= 0.3
 
     def test_per_subject_counts_reported(self):
         report = bt500_screen(simulate_screening_panel(0))
-        assert set(report.per_subject) == {f"s{i:02d}" for i in range(42)}
-        for screen in report.per_subject.values():
-            assert screen.n_scored == 48
-            assert 0 <= screen.outlier_ratio <= 1
+        assert report.subjects == tuple(f"s{i:02d}" for i in range(42))
+        assert report.n_scored.tolist() == [48] * 42
+        assert np.all((report.outlier_ratio >= 0) & (report.outlier_ratio <= 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=sparse_panels().filter(lambda m: len(m.subjects) >= 3))
+    def test_ratio_columns_are_the_per_subject_int_division(self, matrix):
+        # the per-subject loop the columns replaced, from the same counts
+        report = bt500_screen(matrix)
+        rejected = []
+        for i, subject in enumerate(report.subjects):
+            p, q, n = int(report.p[i]), int(report.q[i]), int(report.n_scored[i])
+            ratio = (p + q) / n
+            asym = abs(p - q) / (p + q) if p + q > 0 else 0.0
+            assert report.outlier_ratio[i].item().hex() == ratio.hex()
+            assert report.asymmetry[i].item().hex() == asym.hex()
+            if ratio > 0.05 and asym < 0.3:
+                rejected.append(subject)
+        assert report.rejected == tuple(rejected)
 
 
 class TestRecoverMle:
@@ -625,7 +655,7 @@ class TestCsvIngestion:
         assert matrix.subjects == ("s1", "s2")
         assert matrix.stimuli == ("src_a", "dist_a")
         assert matrix.scores[0, 1] == 70.0
-        assert subject_cohorts(rows, "cohort") == {"s1": "expert", "s2": "naive"}
+        assert read_cohorts(path, "cohort") == {"expert": ["s1"], "naive": ["s2"]}
 
     def test_equal_ids_share_one_string(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -673,9 +703,10 @@ class TestCsvIngestion:
         path = tmp_path / "scores.csv"
         path.write_text("subject_id,pvs_id,score,qp,cohort\ns1,a,90,,x\ns2,a,80\n")
         table = read_scores_csv(path)
-        assert table.meta == {"qp": [None, None], "cohort": ["x", None]}
-        with pytest.raises(ValueError, match="row for 's2' lacks column 'cohort'"):
-            subject_cohorts(table, "cohort")
+        assert table.subject_ids == ["s1", "s2"]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 3: no 'cohort' label for subject 's2'")):
+            read_cohorts(path, "cohort")
 
     def test_interleaved_rows_keep_first_appearance_order(self):
         rows = [
@@ -762,11 +793,22 @@ class TestCsvIngestion:
         with pytest.raises(ValueError, match=r"duplicate score for \(s2, b\)"):
             build_score_matrix(score_table(rows))
 
-    def test_conflicting_cohort_rejected(self):
-        rows = [
-            ("s1", "a", 90.0),
-            ("s1", "b", 80.0),
-        ]
-        table = score_table(rows, cohort=["expert", "naive"])
-        with pytest.raises(ValueError, match="conflicting"):
-            subject_cohorts(table, "cohort")
+    def test_conflicting_cohort_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("subject_id,pvs_id,score,cohort\ns1,a,90,expert\n\ns1,b,80,naive\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 4: subject 's1' has conflicting 'cohort' labels "
+                "'expert' and 'naive'")):
+            read_cohorts(path, "cohort")
+
+    def test_cohorts_group_subjects_in_order_of_first_appearance(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("cohort,subject_id\nb,s3\na,s1\nb,s2\nb,s3\na,s4\na,s1\n")
+        assert read_cohorts(path, "cohort") == {"b": ["s3", "s2"], "a": ["s1", "s4"]}
+
+    def test_cohorts_need_the_named_column(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("subject_id,pvs_id,score\ns1,a,90\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header must contain ['group', 'subject_id']")):
+            read_cohorts(path, "group")
