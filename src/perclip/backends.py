@@ -77,10 +77,11 @@ class EncodeResult:
 
 def _encode_labelled(encode, request: EncodeRequest) -> EncodeResult | BackendFailure:
     """encode(request), or the BackendFailure it raised, labelled with the qp;
-    an answer that breaks the point rule is such a failure."""
+    an answer that breaks the point rule, or arithmetic that overflows or
+    divides by zero on the way to it, is such a failure."""
     try:
         return encode(request)
-    except (BackendFailure, NonFiniteValue) as exc:
+    except (BackendFailure, NonFiniteValue, ArithmeticError) as exc:
         return BackendFailure(f"qp {request.qp}: {exc}")
 
 

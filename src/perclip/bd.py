@@ -54,14 +54,19 @@ def _mean_gap(fr, ft) -> tuple[float, tuple[float, float]]:
 def bd_rate(ref: RdCurve, test: RdCurve, clean: bool = True) -> BdResult:
     """Average percent rate difference of test vs ref at equal quality.
 
-    Negative means the test curve needs less rate. With clean=True, points
-    that break quality monotonicity are dropped first (enforce_monotone).
+    Negative means the test curve needs less rate, and +inf that it needs
+    more than a float can hold. With clean=True, points that break quality
+    monotonicity are dropped first (enforce_monotone).
     """
     if clean:
         ref = enforce_monotone(ref)
         test = enforce_monotone(test)
     d, overlap = _mean_gap(_inverse_fit(ref), _inverse_fit(test))
-    return BdResult(value=(10.0 ** d - 1.0) * 100.0, overlap=overlap)
+    try:
+        ratio = 10.0 ** d
+    except OverflowError:  # a mean gap past about 308 decades
+        ratio = math.inf
+    return BdResult(value=(ratio - 1.0) * 100.0, overlap=overlap)
 
 
 def bd_quality(ref: RdCurve, test: RdCurve) -> BdResult:

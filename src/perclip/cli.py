@@ -249,18 +249,23 @@ def cmd_report(args, run: Run) -> None:
     run.inputs = list(args.curves)
     if not args.curves:
         raise ValueError("no curve files given")
-    by_clip: dict[str, list[tuple[str, RdCurve]]] = {}
+    by_clip: dict[str, list[tuple[str, RdCurve, str]]] = {}  # (variant, curve, file)
     for path in args.curves:
         curve, meta = load_curve_file(path)
         clip = _bare_name(meta["clip"], f"{path}: ")
         variant = meta.get("variant") or Path(path).stem
-        by_clip.setdefault(clip, []).append((variant, curve))
+        by_clip.setdefault(clip, []).append((variant, curve, path))
 
     summary_rows = []
     for clip in sorted(by_clip):
         entries = sorted(by_clip[clip], key=lambda e: e[0])
-        run.text(f"{clip}.svg", render_rq_svg(clip, entries, metric_id=entries[0][1].metric_id))
-        for variant, curve in entries:
+        try:
+            svg = render_rq_svg(clip, [e[:2] for e in entries], metric_id=entries[0][1].metric_id)
+        except OverflowError:  # a chart span or tick past the largest float
+            files = ", ".join(e[2] for e in entries)
+            raise ValueError(f"{files}: values too large to plot") from None
+        run.text(f"{clip}.svg", svg)
+        for variant, curve, _ in entries:
             summary_rows.append(
                 [clip, variant, curve.metric_id, len(curve.points), min(curve.rates),
                  max(curve.rates), min(curve.qualities), max(curve.qualities)]

@@ -3,9 +3,12 @@ plus Pearson/Spearman/Kendall correlation reporting.
 
 The mapping is the five-parameter logistic
     mapped = b1 * (1/2 - 1/(1 + exp(b2 * (x - b3)))) + b4 * x + b5
-kept non-decreasing by the parameter bounds b1, b2, b4 >= 0 and fitted by
+kept non-decreasing by the parameter bounds b1, b2, b4 >= 0. The fit is
+separable least squares (variable projection: Golub & Pereyra, Inverse
+Problems 19, 2003): b1, b4 and b5 enter linearly, so for each (b2, b3) they
+are solved exactly by non-negative least squares (scipy.optimize.nnls), and
 bounded trust-region-reflective least squares (scipy.optimize.least_squares)
-given its analytic Jacobian. Rank coefficients come from scipy.stats: average
+searches (b2, b3) alone. Rank coefficients come from scipy.stats: average
 ranks for ties (rankdata, Spearman) and the tie-corrected tau-b (kendalltau,
 Knight's O(n log n) merge count). The logistic uses scipy.special.expit.
 
@@ -54,11 +57,6 @@ class CorrelationReport:
     n: int
 
 
-def _sse(params: LogisticParams, x: np.ndarray, y: np.ndarray) -> float:
-    r = params(x) - y
-    return float(r @ r)
-
-
 def _finite_pairs(objective, subjective) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(objective, dtype=float)
     y = np.asarray(subjective, dtype=float)
@@ -70,24 +68,15 @@ def _finite_pairs(objective, subjective) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _linear_fallback(x: np.ndarray, y: np.ndarray, b3: float) -> LogisticParams:
-    # best non-negative-slope line; the logistic family contains it
-    vx = float(np.var(x))
-    slope = float(np.cov(x, y, bias=True)[0, 1] / vx) if vx > 0 else 0.0
-    slope = max(slope, 0.0)
-    intercept = float(y.mean() - slope * x.mean())
-    return LogisticParams(b1=0.0, b2=0.0, b3=b3, b4=slope, b5=intercept)
-
-
 def fit_logistic5(objective, subjective) -> LogisticParams:
     """Least-squares fit of the monotone logistic mapping.
 
-    Deterministic start (mid-range inflection, gentle slope), refined by
-    bounded trust-region-reflective least squares (Branch, Coleman & Li
-    1999) over parameters scaled to the unit box, given the analytic
-    Jacobian. Never worse, in squared error, than the best non-decreasing line.
-    Values so large, or so close together, that the arithmetic overflows
-    raise FitDiverged.
+    b1, b4 >= 0 and b5 are solved exactly for each (b2, b3); bounded
+    trust-region-reflective least squares (Branch, Coleman & Li 1999) searches
+    (b2, b3) from the best point of a small grid. Every solve may set b1 = 0,
+    so the fit is never worse, in squared error, than the best non-decreasing
+    line. Values so large, or so close together, that the arithmetic
+    overflows raise FitDiverged.
     """
     x, y = _finite_pairs(objective, subjective)
     if len(x) < 6:
@@ -100,44 +89,32 @@ def fit_logistic5(objective, subjective) -> LogisticParams:
 
 
 def _fit_logistic5(x: np.ndarray, y: np.ndarray) -> LogisticParams:
-    from scipy.optimize import least_squares
+    from scipy.optimize import least_squares, nnls
     from scipy.special import expit
 
+    np.square(x), np.square(y)  # an overflowing square raises before nnls can meet it
     rng_x = float(x.max() - x.min())
     if rng_x == 0.0:
         raise DegenerateInput("objective values are all equal")
-    rng_y = float(y.max() - y.min())
+    ones = np.ones_like(x)
 
-    lower = np.array([0.0, 0.0, x.min() - rng_x, 0.0, y.min() - 5.0 * max(rng_y, 1.0)])
-    upper = np.array([
-        4.0 * max(rng_y, 1.0),
-        100.0 / rng_x,
-        x.max() + rng_x,
-        10.0 * max(rng_y, 1.0) / rng_x,
-        y.max() + 5.0 * max(rng_y, 1.0),
-    ])
-    start = np.clip(
-        np.array([rng_y, 4.0 / rng_x, float(np.median(x)), 0.0, float(y.mean())]),
-        lower, upper,
-    )
-    span = upper - lower
+    def design(theta) -> np.ndarray:
+        b2, b3 = theta
+        return np.column_stack((expit(b2 * (x - b3)) - 0.5, x, ones, -ones))
 
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        b1, b2, b3, b4, b5 = lower + theta * span
-        return b1 * (expit(b2 * (x - b3)) - 0.5) + b4 * x + b5 - y
+    def residuals(theta) -> np.ndarray:
+        # at the exact best (b1, b4, b5+, b5-) >= 0 for this (b2, b3)
+        a = design(theta)
+        return a @ nnls(a, y)[0] - y
 
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        # d/db of the logistic, times span for the unit-box scaling
-        b1, b2, b3, _, _ = lower + theta * span
-        s = expit(b2 * (x - b3))
-        slope = b1 * s * (1.0 - s)
-        return np.column_stack((s - 0.5, slope * (x - b3), -slope * b2, x, np.ones_like(x))) * span
-
-    result = least_squares(residuals, (start - lower) / span, jac=jacobian,
-                           bounds=(0.0, 1.0), method="trf")
-    fitted = LogisticParams(*(float(v) for v in lower + result.x * span))
-    baseline = _linear_fallback(x, y, b3=float(np.median(x)))
-    return baseline if _sse(baseline, x, y) < _sse(fitted, x, y) else fitted
+    start = min(((b2 / rng_x, b3) for b2 in (1.0, 4.0, 16.0, 64.0)
+                 for b3 in np.quantile(x, (0.25, 0.5, 0.75))),
+                key=lambda theta: nnls(design(theta), y)[1])
+    result = least_squares(residuals, start, method="trf", x_scale=(1.0 / rng_x, rng_x),
+                           bounds=((0.0, x.min() - rng_x), (100.0 / rng_x, x.max() + rng_x)))
+    b1, b4, b5_up, b5_down = nnls(design(result.x), y)[0]
+    b2, b3 = result.x
+    return LogisticParams(*(float(v) for v in (b1, b2, b3, b4, b5_up - b5_down)))
 
 
 def average_ranks(values) -> np.ndarray:

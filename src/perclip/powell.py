@@ -16,7 +16,8 @@ below the caller's cost resolution. Otherwise a point farther than
 in its direction, or else rho shrinks fivefold, down to xtol, where the
 search ends too, as it does once every cost of a full point set is
 within FTOL (relative) of the best. The cost at x0 must be finite; a
-+inf cost never enters the model.
++inf cost never enters the model, and a point within INF_TOL of a +inf
+point is taken as that point, so it costs +inf without a call.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul, sub
 
 FTOL = 1e-6  # relative spread of a full point set's costs that ends the search
+INF_TOL = 1e-9  # distance (inf-norm) within which a point is an earlier +inf point
 
 
 @dataclass
@@ -123,7 +125,9 @@ def powell_box_minimize(f, x0, lower, upper, xtol: float = 1e-4,
     pts: list[tuple[tuple[float, ...], float]] = []  # the finite points
 
     def clip(x) -> tuple[float, ...]:
-        return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper))
+        """x clipped to the box, or the +inf point within INF_TOL of that."""
+        x = tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper))
+        return next((y for y, v in seen.items() if v == math.inf and far(x, y) <= INF_TOL), x)
 
     def call_many(xs) -> list[float]:
         """Costs at the points xs clipped to the box; each point is evaluated

@@ -55,22 +55,14 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
-    ticks, t = [], math.ceil(lo / step) * step
-    while t <= hi + 1e-9 * step:
-        ticks.append(round(t, 10))
-        t += step
-    return ticks
+    # each tick from its own index: a running sum stops once step is below half an ulp
+    return [round(i * step, 10)
+            for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    ticks = []
-    k = math.floor(math.log10(lo))
-    while 10.0**k <= hi:
-        for mult in (1.0, 2.0, 5.0):
-            v = mult * 10.0**k
-            if lo <= v <= hi:
-                ticks.append(v)
-        k += 1
+    ticks = [v for k in range(math.floor(math.log10(lo)), math.floor(math.log10(hi)) + 1)
+             for v in (1.0 * 10.0**k, 2.0 * 10.0**k, 5.0 * 10.0**k) if lo <= v <= hi]
     return ticks or [lo, hi]
 
 

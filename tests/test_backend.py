@@ -214,6 +214,14 @@ class TestBuildRdCurve:
         assert str(results[1]) == "qp 49: synthetic fault"
         assert results[2] == SyntheticBackend().encode(req(63))
 
+    def test_model_arithmetic_that_overflows_is_a_failure_naming_the_qp(self):
+        # a k_star of 1e300 overflows the bowl's square, which used to escape
+        # the batch, and main, as an OverflowError traceback
+        backend = SyntheticBackend(SyntheticModel(k_star=(1e300, 1.0)))
+        (result,) = backend.encode_many([req(27)])
+        assert isinstance(result, BackendFailure)
+        assert str(result).startswith("qp 27: ")
+
 
 FAKE_ENCODER = """#!/bin/sh
 # fake encoder: writes a fixed-size payload

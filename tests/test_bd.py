@@ -98,6 +98,13 @@ class TestBdRate:
         with pytest.raises(NoOverlap):
             bd_rate(a, b)
 
+    def test_rate_gap_past_the_float_range_is_plus_inf(self):
+        # 10 ** 600 used to raise OverflowError
+        ref = build_curve([RdPoint(1e-300 * k, 30.0 + k) for k in (1, 2, 3, 4)], "psnr")
+        test = build_curve([RdPoint(1e300 * k, 30.0 + k) for k in (1, 2, 3, 4)], "psnr")
+        assert bd_rate(ref, test).value == math.inf
+        assert bd_rate(test, ref).value == -100.0
+
     def test_clean_drops_dip(self):
         ref = build_curve(
             [RdPoint(100, 10), RdPoint(200, 20), RdPoint(400, 30)], "mos"

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perclip.cli import main
@@ -741,6 +741,18 @@ class TestBdCommand:
                                            "give --anchors\n")
         assert run("--out", tmp_path, "bd", ref, tuned, "--anchors", "60") == 0
 
+    def test_rate_gap_past_the_float_range_exits_1_on_the_overlap_error(self, tmp_path):
+        # rates 600 decades apart at the same qualities: bd_rate's 10 ** 600
+        # used to escape main as an OverflowError traceback
+        paths = []
+        for name, scale in (("ref", 1e-300), ("test", 1e300)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"metric": "psnr", "points": [
+                {"rate_kbps": scale * k, "quality": 30.0 + k} for k in (1, 2, 3, 4)]}))
+        code, err = run_quietly("--out", tmp_path / "out", "bd", *paths)
+        assert code == 1
+        assert err.startswith("error: no common interval: ") and len(err.splitlines()) == 1
+
     def test_disjoint_quality_ranges_exit_1(self, tmp_path, capsys):
         a = {"metric": "mos", "points": [
             {"rate_kbps": 100, "quality": 10}, {"rate_kbps": 200, "quality": 20}]}
@@ -1230,17 +1242,25 @@ class TestJsonInputs:
         assert err.startswith(f"error: {curve}: ") and len(err.splitlines()) == 1
 
     @settings(max_examples=40, deadline=None)
-    @given(which=st.sampled_from(["config", "cache"]), place=st.integers(0, 10**6),
-           value=st.integers(0, len(JSON_VALUES) - 1))
+    @given(which=st.sampled_from(["config", "cache", "config list"]),
+           place=st.integers(0, 10**6), value=st.integers(0, len(JSON_VALUES) - 1))
+    # meadow's k_star[0] = 1e308 used to overflow SyntheticModel.bowl's square
+    # and escape main as an OverflowError traceback
+    @example(which="config list", place=0, value=JSON_VALUES.index(1e308))
     def test_any_edited_config_or_cache_exits_0_or_with_one_error_line(
             self, tmp_path_factory, which, place, value):
+        # "config list" sets one element of a list value: k_star, qps or bounds
         tmp = tmp_path_factory.mktemp("fuzz")
         docs = {"config": json.loads((DATA / "backend_synthetic.json").read_text()),
                 "cache": [row for row in json.loads((ROOT / "tests" / "golden" / "optimize" /
                                                      "cache.json").read_text())
                           if row[0] == "meadow"]}
-        places = list(json_places(docs[which]))
-        docs[which] = replaced(docs[which], places[place % len(places)], JSON_VALUES[value])
+        edited = which.split()[0]
+        if edited == "config":  # else the cache answers every encode the edited model would make
+            docs["cache"] = []
+        places = [p for p in json_places(docs[edited])
+                  if which != "config list" or p and isinstance(p[-1], int)]
+        docs[edited] = replaced(docs[edited], places[place % len(places)], JSON_VALUES[value])
         for name, doc in docs.items():
             (tmp / f"{name}.json").write_text(json.dumps(doc))
         assert_one_error_line_or_ok(*run_quietly(
@@ -1311,6 +1331,42 @@ class TestReportCommand:
             f"error: {bad}: clip {clip!r} is not a bare file name "
             "(it names output files in --out)"]
         assert not list(tmp_path.rglob("*.svg"))
+
+    def test_quality_range_below_an_ulp_ends_with_a_chart(self, tmp_path):
+        # the tick loop used to add a step below half an ulp of 1 forever,
+        # growing its list without bound: run in a child with a timeout
+        curve = tmp_path / "c.json"
+        curve.write_text(json.dumps({"metric": "psnr", "clip": "c", "points": [
+            {"rate_kbps": 100 * 2 ** i, "quality": 1.0 + i * 2.0 ** -52} for i in range(3)]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "perclip.cli", "--out", str(tmp_path / "out"), "report",
+             str(curve)], capture_output=True, text=True, env=src_env(), timeout=20,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        ET.parse(tmp_path / "out" / "c.svg")
+
+    @pytest.mark.parametrize("points", [
+        [(100, -1e308, 0.0), (200, 0.0, 0.0), (400, 1e308, 0.0)],
+        [(100, 1.0, 1e308), (200, 2.0, 0.0), (400, 3.0, 0.0)],
+    ], ids=["quality-1e308", "ci95-1e308"])
+    def test_values_too_large_to_plot_exit_1_naming_the_file(self, tmp_path, points):
+        # each used to escape main as an OverflowError traceback
+        curve = tmp_path / "c.json"
+        curve.write_text(json.dumps({"metric": "psnr", "clip": "c", "points": [
+            {"rate_kbps": r, "quality": q, "ci95": ci} for r, q, ci in points]}))
+        code, err = run_quietly("--out", tmp_path / "out", "report", curve)
+        assert (code, err) == (1, f"error: {curve}: values too large to plot\n")
+        assert not (tmp_path / "out" / "c.svg").exists()
+
+    def test_rate_near_the_largest_float_is_plotted(self, tmp_path):
+        # the rate-axis tick loop used to reach 10.0 ** 309 and escape main
+        # as an OverflowError traceback
+        curve = tmp_path / "c.json"
+        curve.write_text(json.dumps({"metric": "psnr", "clip": "c", "points": [
+            {"rate_kbps": 1e300, "quality": 1.0}, {"rate_kbps": 1.7e308, "quality": 2.0}]}))
+        assert run_quietly("--out", tmp_path / "out", "report", curve) == (0, "")
+        labels = [t.text for t in ET.parse(tmp_path / "out" / "c.svg").iter(f"{SVG_NS}text")]
+        assert "1e+308" in labels
 
     def test_empty_input_exits_1(self, tmp_path, capsys):
         code = run("--out", tmp_path, "report")

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -579,6 +580,15 @@ class TestOptimizeClip:
         assert failed
         assert not any(e.cache_hit for e in failed)
         assert trace.encode_count == backend.calls
+
+    def test_no_point_is_evaluated_again_within_a_rounding_of_a_failed_one(self):
+        # (1.25, 0.8027897621584039) cost +inf, and the search used to
+        # evaluate (1.25, 0.802789762158404), 1 ulp away, two steps later
+        _, trace = optimize_clip(FailsOneQp(63), "clip")
+        points = [(e.ks.k1, e.ks.k2) for e in trace.evaluations]
+        assert any(math.isinf(e.cost) for e in trace.evaluations)
+        for a, b in itertools.combinations(points, 2):
+            assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) > 1e-9, (a, b)
 
     def test_batch_failing_at_its_first_qp_still_encodes_the_rest(self):
         # the serial encode_many attempts every request before it raises,
