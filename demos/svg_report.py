@@ -18,7 +18,7 @@ for variant in ("default", "tuned"):
     curve, _ = load_curve_file(DATA / "curves" / f"meadow__{variant}.curve.json")
     series.append((variant, curve))
 
-svg = render_rq_svg("meadow", series, metric_id=curve.metric_id)
+svg = render_rq_svg("meadow", series)
 OUT.mkdir(exist_ok=True)
 target = OUT / "meadow.svg"
 target.write_text(svg)

@@ -42,12 +42,18 @@ def _inverse_fit(curve: RdCurve, transform=math.log10):
     return pchip_fit([q for q, _ in pairs], [transform(r) for _, r in pairs])
 
 
-def _mean_gap(fr, ft) -> tuple[float, tuple[float, float]]:
-    # average of ft - fr over the common domain, and that domain
+def _overlap(fr, ft) -> tuple[float, float]:
+    # the common domain of two fits, NoOverlap if it holds no interval
     (a_lo, a_hi), (b_lo, b_hi) = fr.domain, ft.domain
     lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
     if not lo < hi:
         raise NoOverlap(f"no common interval: [{a_lo}, {a_hi}] vs [{b_lo}, {b_hi}]")
+    return lo, hi
+
+
+def _mean_gap(fr, ft) -> tuple[float, tuple[float, float]]:
+    # average of ft - fr over the common domain, and that domain
+    lo, hi = _overlap(fr, ft)
     return (ft.integrate(lo, hi) - fr.integrate(lo, hi)) / (hi - lo), (lo, hi)
 
 
@@ -82,9 +88,10 @@ def bd_quality(ref: RdCurve, test: RdCurve) -> BdResult:
     return BdResult(value=d, overlap=overlap)
 
 
-def default_anchors(ref: RdCurve, qps=DEFAULT_ANCHOR_QPS) -> list[tuple[str, float]]:
-    """Anchor qualities taken from the reference curve's labelled qp points."""
-    return [(f"qp{qp}", q) for qp in qps if (q := ref.quality_at_qp(qp)) is not None]
+def default_anchors(ref: RdCurve) -> list[tuple[str, float]]:
+    """Anchor qualities at the reference curve's points labelled DEFAULT_ANCHOR_QPS."""
+    return [(f"qp{qp}", q) for qp in DEFAULT_ANCHOR_QPS
+            if (q := ref.quality_at_qp(qp)) is not None]
 
 
 def bitrate_savings(ref: RdCurve, test: RdCurve, anchors) -> SavingsResult:
@@ -92,30 +99,19 @@ def bitrate_savings(ref: RdCurve, test: RdCurve, anchors) -> SavingsResult:
     such as default_anchors(ref).
 
     Each curve is cleaned to monotone quality, inverted (quality -> rate),
-    and read at every anchor. Anchors outside either curve's quality range
-    are skipped; if none survive, AnchorOutOfRange is raised.
+    and read at every anchor. Anchors outside their common quality interval
+    (NoOverlap if none) are skipped; if none survive, AnchorOutOfRange is raised.
     """
-    ref_c = enforce_monotone(ref)
-    test_c = enforce_monotone(test)
-    inv_r = _inverse_fit(ref_c, transform=float)
-    inv_t = _inverse_fit(test_c, transform=float)
-    lo = max(inv_r.domain[0], inv_t.domain[0])
-    hi = min(inv_r.domain[1], inv_t.domain[1])
-
-    per_anchor: list[tuple[str, float]] = []
-    skipped: list[str] = []
+    inv_r = _inverse_fit(enforce_monotone(ref), transform=float)
+    inv_t = _inverse_fit(enforce_monotone(test), transform=float)
+    lo, hi = _overlap(inv_r, inv_t)
+    per_anchor, skipped = [], []
     for label, q in anchors:
-        if not (lo <= q <= hi):
+        if lo <= q <= hi:
+            per_anchor.append((label, (inv_t(q) - inv_r(q)) / inv_r(q) * 100.0))
+        else:
             skipped.append(label)
-            continue
-        r_ref = inv_r(q)
-        r_test = inv_t(q)
-        per_anchor.append((label, (r_test - r_ref) / r_ref * 100.0))
     if not per_anchor:
-        raise AnchorOutOfRange(
-            f"all anchors outside the common quality range [{lo}, {hi}]"
-        )
+        raise AnchorOutOfRange(f"all anchors outside the common quality range [{lo}, {hi}]")
     mean = sum(v for _, v in per_anchor) / len(per_anchor)
-    return SavingsResult(
-        per_anchor=tuple(per_anchor), mean=mean, skipped=tuple(skipped)
-    )
+    return SavingsResult(per_anchor=tuple(per_anchor), mean=mean, skipped=tuple(skipped))

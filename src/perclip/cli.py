@@ -97,6 +97,15 @@ def _bare_name(clip: str, prefix: str = "") -> str:
     return clip
 
 
+def _one_metric(files: list[tuple[str, RdCurve]]) -> None:
+    """bd and report take curves of one metric: a ValueError names two files that differ."""
+    (first, ref), *rest = files
+    for path, curve in rest:
+        if curve.metric_id != ref.metric_id:
+            raise ValueError(f"{first} holds metric {ref.metric_id!r} but {path} holds "
+                             f"{curve.metric_id!r}; curves of two metrics cannot be compared")
+
+
 def cmd_optimize(args, run: Run) -> None:
     run.inputs, run.config = list(args.clips), args.config
     for clip in args.clips:
@@ -131,6 +140,7 @@ def cmd_bd(args, run: Run) -> None:
     run.inputs = [args.ref, args.test]
     ref, ref_meta = load_curve_file(args.ref)
     test, _ = load_curve_file(args.test)
+    _one_metric([(args.ref, ref), (args.test, test)])
     clip = ref_meta["clip"]
     rate_res = bd_rate(ref, test)
     qual_res = bd_quality(ref, test)
@@ -255,21 +265,21 @@ def cmd_report(args, run: Run) -> None:
         clip = _bare_name(meta["clip"], f"{path}: ")
         variant = meta.get("variant") or Path(path).stem
         by_clip.setdefault(clip, []).append((variant, curve, path))
+    for entries in by_clip.values():
+        _one_metric([(path, curve) for _, curve, path in entries])
 
     summary_rows = []
     for clip in sorted(by_clip):
         entries = sorted(by_clip[clip], key=lambda e: e[0])
         try:
-            svg = render_rq_svg(clip, [e[:2] for e in entries], metric_id=entries[0][1].metric_id)
+            svg = render_rq_svg(clip, [e[:2] for e in entries])
         except OverflowError:  # a chart span or tick past the largest float
             files = ", ".join(e[2] for e in entries)
             raise ValueError(f"{files}: values too large to plot") from None
         run.text(f"{clip}.svg", svg)
-        for variant, curve, _ in entries:
-            summary_rows.append(
-                [clip, variant, curve.metric_id, len(curve.points), min(curve.rates),
-                 max(curve.rates), min(curve.qualities), max(curve.qualities)]
-            )
+        summary_rows += [[clip, variant, curve.metric_id, len(curve.points), min(curve.rates),
+                          max(curve.rates), min(curve.qualities), max(curve.qualities)]
+                         for variant, curve, _ in entries]
     run.csv("report_summary.csv", ["clip", "variant", "metric", "n_points", "rate_min_kbps",
                                    "rate_max_kbps", "quality_min", "quality_max"], summary_rows)
 
@@ -280,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Per-clip encoder lambda tuning and quality analytics",
     )
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("optimize", help="search lambda multipliers per clip")
@@ -323,10 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-    )
+    logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     errors = (PerclipError, OSError, ValueError, KeyError)  # a JSON error is a ValueError
     run, error = Run(Path(args.out)), None
     try:

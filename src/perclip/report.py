@@ -49,15 +49,22 @@ def _text(text: str, x, y, size: int, anchor: str | None = None, **attrs) -> str
                font_size=size, **attrs)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
-    # each tick from its own index: a running sum stops once step is below half an ulp
-    return [round(i * step, 10)
-            for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
+    # each tick from its own index, as a running sum stops below half an ulp; a set, as
+    # rounding merges ticks closer than 1e-10
+    return sorted({round(i * step, 10)
+                   for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)})
+
+
+def _labels(values: list[float]) -> list[str]:
+    # :g labels with the fewest significant digits, 6 to 17, that tell the values apart
+    return next(labels for digits in range(6, 18)
+                if len(set(labels := [f"{v:.{digits}g}" for v in values])) == len(values))
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
@@ -66,21 +73,16 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return ticks or [lo, hi]
 
 
-def render_rq_svg(clip: str, series: list[tuple[str, RdCurve]],
-                  metric_id: str = "quality") -> str:
-    """Render one clip's rate-quality chart to an SVG string: one
-    (label, curve) series per variant, each point's ci95 as its error bar."""
+def render_rq_svg(clip: str, series: list[tuple[str, RdCurve]]) -> str:
+    """Render one clip's rate-quality chart to an SVG string: one (label, curve)
+    series per variant, each point's ci95 as its error bar. The y axis, labelled
+    with the first curve's metric, spans every point and bar."""
     if not series:
         raise ValueError("no series to plot")
     points = [p for _, curve in series for p in curve.points]
     x_lo, x_hi = min(p.rate for p in points), max(p.rate for p in points)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo * 0.9, x_hi * 1.1
     y_lo = min(p.quality - p.ci95 for p in points)
     y_hi = max(p.quality + p.ci95 for p in points)
-    if "mos" in metric_id.lower():
-        # opinion scores plot on the [0, 100] scale; bars clamp to it
-        y_lo, y_hi = max(0.0, y_lo), min(100.0, max(y_hi, 1.0))
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -112,19 +114,20 @@ def render_rq_svg(clip: str, series: list[tuple[str, RdCurve]],
         x = _fmt(px(v))
         parts.append(_line(x, axis_y, x, axis_y + 5, stroke="black"))
         parts.append(_text(f"{v:g}", x, axis_y + 20, 11, "middle"))
-    for v in _nice_ticks(y_lo, y_hi):
+    ticks = _nice_ticks(y_lo, y_hi)
+    for v, text in zip(ticks, _labels(ticks)):
         y = py(v)
         parts.append(_line(MARGIN_L - 5, _fmt(y), MARGIN_L, _fmt(y), stroke="black"))
-        parts.append(_text(f"{v:g}", MARGIN_L - 9, _fmt(y + 4), 11, "end"))
+        parts.append(_text(text, MARGIN_L - 9, _fmt(y + 4), 11, "end"))
     parts.append(_text("rate (kbps, log scale)", f"{MARGIN_L + plot_w / 2:.0f}", HEIGHT - 14,
                        12, "middle"))
-    parts.append(_text(metric_id, 18, mid_y, 12, "middle", transform=f"rotate(-90 18 {mid_y})"))
+    parts.append(_text(series[0][1].metric_id, 18, mid_y, 12, "middle",
+                       transform=f"rotate(-90 18 {mid_y})"))
 
     for idx, (label, curve) in enumerate(series):
         color = COLORS[idx % len(COLORS)]
         for p in curve.points:
-            q, ci = p.quality, p.ci95
-            x, top, bot = px(p.rate), _fmt(py(min(q + ci, y_hi))), _fmt(py(max(q - ci, y_lo)))
+            x, top, bot = px(p.rate), _fmt(py(p.quality + p.ci95)), _fmt(py(p.quality - p.ci95))
             parts += [
                 _el("g", close=False, class_="errorbar", stroke=color),
                 _line(_fmt(x), top, _fmt(x), bot),

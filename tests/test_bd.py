@@ -207,6 +207,13 @@ class TestBitrateSavings:
         with pytest.raises(AnchorOutOfRange):
             bitrate_savings(ref, ref, anchors=[("way", 1e6)])
 
+    def test_disjoint_curves_raise_no_overlap(self):
+        # used to raise AnchorOutOfRange naming the inverted range [30.0, 20.0]
+        a = build_curve([RdPoint(100, 10, qp=59), RdPoint(200, 20, qp=27)], "mos")
+        b = build_curve([RdPoint(100, 30), RdPoint(200, 40)], "mos")
+        with pytest.raises(NoOverlap):
+            bitrate_savings(a, b, anchors=default_anchors(a))
+
     def test_mean_is_arithmetic_mean(self, rng):
         ref, test = random_overlapping_pair(rng)
         lo = max(min(ref.qualities), min(test.qualities))

@@ -661,6 +661,18 @@ class TestBdCommand:
         assert capsys.readouterr().err == f"error: --anchors: {repeat!r} repeats an earlier anchor\n"
         assert not (tmp_path / "bd.csv").exists()
 
+    @pytest.mark.parametrize("command", ["bd", "report"])
+    def test_curves_of_two_metrics_exit_1_naming_both(self, tmp_path, command):
+        # bd used to write a mos row for a mos and a psnr curve, and report to
+        # draw both on one mos axis
+        ref = DATA / "curves" / "meadow__default.curve.json"
+        test = write_curve_variant(tmp_path / "meadow__psnr.curve.json",
+                                   lambda doc: doc.update(metric="psnr"))
+        code, err = run_quietly("--out", tmp_path / "out", command, ref, test)
+        assert (code, err) == (1, f"error: {ref} holds metric 'mos' but {test} holds 'psnr'; "
+                                  "curves of two metrics cannot be compared\n")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
     def test_file_without_clip_takes_the_name_report_gives_it(self, tmp_path):
         # bd used to call meadow__default.curve.json's clip meadow__default.curve
         ref = write_curve_variant(tmp_path / "meadow__default.curve.json",
@@ -1344,6 +1356,41 @@ class TestReportCommand:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         ET.parse(tmp_path / "out" / "c.svg")
+
+    @pytest.mark.parametrize("qualities, ci95", [
+        ([101.0, 102.0, 103.0], 0.5),
+        ([96.0, 99.0, 102.0], 1.0),
+    ], ids=["above-100", "straddling-100"])
+    def test_dmos_over_100_stays_on_the_canvas(self, tmp_path, qualities, ci95):
+        # DMOS exceeds 100 where a PVS outscores its source; a [0, 100] axis
+        # guessed from the name "dmos" used to put such markers off the canvas
+        curve = tmp_path / "c.json"
+        curve.write_text(json.dumps({"metric": "dmos", "clip": "c", "points": [
+            {"rate_kbps": 100 * 2 ** i, "quality": q, "ci95": ci95}
+            for i, q in enumerate(qualities)]}))
+        assert run_quietly("--out", tmp_path / "out", "report", curve) == (0, "")
+        root = ET.parse(tmp_path / "out" / "c.svg").getroot()
+        ys = [float(c.get("cy")) for c in root.iter(f"{SVG_NS}circle")]
+        ys += [float(line.get(y)) for bar in root.iter(f"{SVG_NS}g")
+               for line in bar.iter(f"{SVG_NS}line") for y in ("y1", "y2")]
+        assert len(ys) == 3 + 3 * 3 * 2
+        assert all(0 <= y <= 480 for y in ys), ys
+
+    @pytest.mark.parametrize("qualities", [
+        [30.0 + 2e-5 * i for i in range(5)],
+        [1.0 + i * 2.0 ** -52 for i in range(3)],
+    ], ids=["30.00000-30.00008", "sub-ulp"])
+    def test_narrow_quality_range_gets_distinct_y_labels(self, tmp_path, qualities):
+        # 30.00000-30.00008 used to be labelled 30, 30, 30, 30.0001, 30.0001,
+        # and the sub-ulp range seven ticks at one height, each labelled 1
+        curve = tmp_path / "c.json"
+        curve.write_text(json.dumps({"metric": "psnr", "clip": "c", "points": [
+            {"rate_kbps": 100 * 2 ** i, "quality": q} for i, q in enumerate(qualities)]}))
+        assert run_quietly("--out", tmp_path / "out", "report", curve) == (0, "")
+        root = ET.parse(tmp_path / "out" / "c.svg").getroot()
+        labels = [t for t in root.iter(f"{SVG_NS}text") if t.get("text-anchor") == "end"]
+        assert labels
+        assert len({t.text for t in labels}) == len({t.get("y") for t in labels}) == len(labels)
 
     @pytest.mark.parametrize("points", [
         [(100, -1e308, 0.0), (200, 0.0, 0.0), (400, 1e308, 0.0)],
